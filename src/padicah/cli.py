@@ -2,9 +2,9 @@
 
 Subcommands: systems, recover, check-family, counterexample, decompose.
 Shared flags on every subcommand: --grid (grid JSON file), --out (output
-path, default stdout), --format {json,csv}, --threads (falls back to the
-PADIC_THREADS variable, then 1), --tolerance (verdict tolerance where a
-command has one).
+path, default stdout), --format {json,csv}, --threads (size of the pool
+that runs family members concurrently; falls back to the PADIC_THREADS
+variable, then 1), --tolerance (verdict tolerance where a command has one).
 
 Exit codes: 0 when the command's verdicts pass, 1 for unusable input
 (missing files, parse errors, empty windows), 2 when a requested verdict
@@ -116,6 +116,8 @@ def cmd_systems(args) -> int:
         return _fail("systems needs --haar, --price, or --gamma-block")
     if args.format == "csv" and wants_tables and args.gamma_block is not None:
         return _fail("csv output covers either tables or a gamma block, not both")
+    if args.gamma_block is not None and not 0 <= args.gamma_block <= cfg.min_depth:
+        return _fail(f"--gamma-block {args.gamma_block} outside 0..{cfg.min_depth}")
 
     tables = []
     if args.haar is not None:
@@ -360,7 +362,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--format", choices=("json", "csv"), default="json")
     sub.add_argument(
         "--threads", type=int, default=None,
-        help=f"worker threads (default: ${ENV_THREADS} or 1)",
+        help=f"workers for the family-member pool (default: ${ENV_THREADS} or 1)",
     )
     sub.add_argument(
         "--tolerance", type=float, default=None,

@@ -339,19 +339,6 @@ def cell_of_point(cfg: GridConfig, pt: PointCode, rank: int) -> Cell:
     return Cell((rank,) * cfg.dim, tuple(indices))
 
 
-def cell_digits(cfg: GridConfig, cell: Cell, j: int) -> tuple[int, ...]:
-    """Digit string x_1..x_k of the cell's dimension-j interval."""
-    seq = cfg.seqs[j]
-    k, n = cell.ranks[j], cell.indices[j]
-    digits = []
-    for i in range(k, 0, -1):
-        p = seq.factor(i)
-        digits.append(n % p)
-        n //= p
-    digits.reverse()
-    return tuple(digits)
-
-
 def validate_partition(cfg: GridConfig, cells, region: Cell | None = None) -> None:
     """Check that `cells` tile `region` (default: the whole cube) exactly.
 

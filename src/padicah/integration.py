@@ -60,25 +60,18 @@ def truncate(f: StepFunction, h: StepFunction, scale_sq=1) -> StepFunction:
     return StepFunction(f.cfg, tuple(c for c, _ in pieces), tuple(v for _, v in pieces))
 
 
-def _ge_threshold(g, bound, strict: bool) -> bool:
-    """g > bound (strict) or g >= bound, exact when both sides are exact."""
-    if is_exact(g) and is_exact(bound):
-        return g > bound if strict else g >= bound
-    return float(g) > float(bound) if strict else float(g) >= float(bound)
-
-
 def tail_integral(g: StepFunction, h: StepFunction, alpha=1, strict: bool = True,
-                  box: Cell | None = None, threads: int = 1):
+                  box: Cell | None = None):
     """Integral of h over the sublevel complement {g > alpha*h} (or >=).
 
     `g` should already be nonnegative (pass f.abs() for a signed f).
     """
-    tail, _ = tail_with_ties(g, h, alpha=alpha, strict=strict, box=box, threads=threads)
+    tail, _ = tail_with_ties(g, h, alpha=alpha, strict=strict, box=box)
     return tail
 
 
 def tail_with_ties(g: StepFunction, h: StepFunction, alpha=1, strict: bool = True,
-                   box: Cell | None = None, threads: int = 1):
+                   box: Cell | None = None):
     """(tail integral, measure of exact ties {g = alpha*h}) in one pass."""
     _require_cutoff_values(h)
     cfg = g.cfg
@@ -91,11 +84,11 @@ def tail_with_ties(g: StepFunction, h: StepFunction, alpha=1, strict: bool = Tru
         if hit is None:
             continue
         bound = alpha * hv
-        if _ge_threshold(gv, bound, strict):
+        if (not leq_exact_or_float(gv, bound)) if strict else leq_exact_or_float(bound, gv):
             terms.append(hv * hit.measure(cfg))
         if is_exact(gv) and is_exact(bound) and gv == bound:
             ties += hit.measure(cfg)
-    return tree_sum(terms, zero=Fraction(0), threads=threads), ties
+    return tree_sum(terms, zero=Fraction(0)), ties
 
 
 def level_measure(g: StepFunction, level, strict: bool = True,
@@ -109,7 +102,7 @@ def level_measure(g: StepFunction, level, strict: bool = True,
         hit = cell.intersect(cfg, box)
         if hit is None:
             continue
-        if _ge_threshold(gv, level, strict):
+        if (not leq_exact_or_float(gv, level)) if strict else leq_exact_or_float(level, gv):
             total += hit.measure(cfg)
     return total
 
@@ -181,7 +174,7 @@ class FamilyCheckReport:
         return (
             self.monotone_ok
             and self.oscillation_c is not None
-            and float(self.min_cell_integral) > 0
+            and not leq_exact_or_float(self.min_cell_integral, 0)
         )
 
     def to_json_dict(self) -> dict:
@@ -234,14 +227,14 @@ def check_family(fam: HFamily) -> FamilyCheckReport:
                     unbounded = True
             else:
                 ratio = Fraction(sup, inf) if is_exact(sup) and is_exact(inf) else sup / inf
-                if float(ratio) > float(c_min):
+                if not leq_exact_or_float(ratio, c_min):
                     c_min = ratio
             cell_integral = h.integral(pcell)
             weighted = inf * pcell.measure(cfg)
             row.append(inf)
-            if min_integral is None or float(cell_integral) < float(min_integral):
+            if min_integral is None or not leq_exact_or_float(min_integral, cell_integral):
                 min_integral = cell_integral
-            if eps0 is None or float(weighted) < float(eps0):
+            if eps0 is None or not leq_exact_or_float(eps0, weighted):
                 eps0 = weighted
         lambda_table.append(tuple(row))
     return FamilyCheckReport(
@@ -268,14 +261,14 @@ class AhIntegralReport:
     adm_ties: dict
     a_clause: tuple
     conv_tol: float
-    adm_tol: float
+    adm_tol: object  # exact 0 by default, so a zero tolerance is really zero
     m0: object  # 1-based index where values settle, or None
     converged: bool
 
     @property
     def admissible(self) -> bool:
         return all(
-            float(tails[-1]) <= self.adm_tol for tails in self.adm_tails.values()
+            leq_exact_or_float(tails[-1], self.adm_tol) for tails in self.adm_tails.values()
         )
 
     @property
@@ -290,7 +283,7 @@ class AhIntegralReport:
             "a_clause": encode_values(self.a_clause),
             "adm_tails": {k: encode_values(v) for k, v in self.adm_tails.items()},
             "adm_ties": {k: encode_values(v) for k, v in self.adm_ties.items()},
-            "adm_tol": self.adm_tol,
+            "adm_tol": float(self.adm_tol),
             "admissible": self.admissible,
             "alphas": list(self.adm_tails.keys()),
             "box": cell_json(self.box),
@@ -309,7 +302,7 @@ DEFAULT_ALPHAS = (Fraction(1, 2), 1, 2)
 
 def ah_integral(f: StepFunction, fam: HFamily, box: Cell | None = None,
                 alphas=DEFAULT_ALPHAS, conv_tol: float = 1e-9,
-                adm_tol: float = 0.0, threads: int = 1) -> AhIntegralReport:
+                adm_tol=0, threads: int = 1) -> AhIntegralReport:
     """Truncate f against every member and judge convergence/admissibility.
 
     values[m] = int_box [f]_{h_m}; admissibility at each alpha is the tail
@@ -492,8 +485,9 @@ def upgrade_family(fam: HFamily, tails) -> UpgradeResult:
         if alphas and a < alphas[-1]:
             a = alphas[-1]
         alphas.append(a)
-    violated = float(sup_tails[-1]) > 1.0 or (
-        float(sup_tails[-1]) > 0.0 and not float(sup_tails[-1]) < float(sup_tails[0])
+    first, last = sup_tails[0], sup_tails[-1]
+    violated = not leq_exact_or_float(last, 1) or (
+        not leq_exact_or_float(last, 0) and leq_exact_or_float(first, last)
     )
     scaled = tuple(a * float(t) for a, t in zip(alphas, tails))
     return UpgradeResult(

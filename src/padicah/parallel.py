@@ -1,9 +1,9 @@
-"""Deterministic reduction and order-preserving parallel helpers.
+"""Deterministic reduction and the one order-preserving worker pool.
 
 Results must never depend on the worker count: sums reduce over a fixed
-binary tree whose shape is a function of the element count alone, and
-chunk boundaries are constants rather than functions of the pool size.
-Running with ``threads=1`` and ``threads=N`` therefore produces
+pairwise tree whose shape is a function of the element count alone, and
+``parallel_map`` over independent family members is the only place a pool
+starts.  Running with ``threads=1`` and ``threads=N`` therefore produces
 bit-identical results, floats included.
 """
 from __future__ import annotations
@@ -12,8 +12,6 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 
 ENV_THREADS = "PADIC_THREADS"
-
-_CHUNK = 2048  # fixed leaf-chunk size of the reduction tree
 
 
 def resolve_threads(threads: int | None = None) -> int:
@@ -32,32 +30,21 @@ def resolve_threads(threads: int | None = None) -> int:
     return threads
 
 
-def _fold(vals: list):
-    """Pairwise-fold a list in place-order: the fixed reduction tree."""
+def tree_sum(values, zero=0):
+    """Sum ``values`` by folding neighbouring pairs, level by level, in list order.
+
+    The association order depends only on len(values), so exact types stay
+    exact and float results are reproducible.
+    """
+    vals = list(values)
+    if not vals:
+        return zero
     while len(vals) > 1:
         nxt = [vals[i] + vals[i + 1] for i in range(0, len(vals) - 1, 2)]
         if len(vals) % 2:
             nxt.append(vals[-1])
         vals = nxt
     return vals[0]
-
-
-def tree_sum(values, zero=0, threads: int = 1):
-    """Sum ``values`` over a fixed binary tree.
-
-    The association order depends only on len(values), so exact types stay
-    exact and float results are reproducible across thread counts.
-    """
-    vals = list(values)
-    if not vals:
-        return zero
-    chunks = [vals[i:i + _CHUNK] for i in range(0, len(vals), _CHUNK)]
-    if threads > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(_fold, chunks))
-    else:
-        partials = [_fold(c) for c in chunks]
-    return _fold(partials)
 
 
 def parallel_map(fn, items, threads: int = 1) -> list:

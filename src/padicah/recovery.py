@@ -82,11 +82,11 @@ def recover_additive(af: AdditiveFn, fam: HFamily, box: Cell | None = None,
     box.validate(af.cfg)
     deriv = af.derivative()
     maj = af.majorant()
-    reference = af.value_on(box, threads=threads)
+    reference = af.value_on(box)
 
     def one_member(h: StepFunction):
-        est = truncate(deriv, h).integral(box, threads=1)
-        tail = tail_integral(maj, h, alpha=1, strict=True, box=box, threads=1)
+        est = truncate(deriv, h).integral(box)
+        tail = tail_integral(maj, h, alpha=1, strict=True, box=box)
         return est, tail
 
     rows = parallel_map(one_member, fam.members, threads=threads)
@@ -249,7 +249,7 @@ class TailConditionReport:
 
     @property
     def passes(self) -> bool:
-        return self.window_monotone and float(self.tails[-1]) <= self.tol
+        return self.window_monotone and leq_exact_or_float(self.tails[-1], self.tol)
 
     def to_json_dict(self) -> dict:
         return {
@@ -276,7 +276,7 @@ def tail_condition_check(af: AdditiveFn, fam: HFamily, box: Cell | None = None,
     maj = af.majorant()
 
     def one_member(h: StepFunction):
-        return tail_integral(maj, h, alpha=1, strict=True, box=box, threads=1)
+        return tail_integral(maj, h, alpha=1, strict=True, box=box)
 
     tails = tuple(parallel_map(one_member, fam.members, threads=threads))
     start = (2 * len(tails)) // 3

@@ -19,20 +19,22 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product as iter_product
-from math import isqrt, prod
+from math import isfinite, isqrt, prod
 
 from .errors import ConfigMismatch, ValueGuardError
 from .grid import Cell, GridConfig, decompose_box, full_cube
 from .parallel import tree_sum
-from .stepfn import StepFunction, pointwise_max, value_abs
+from .stepfn import StepFunction, leq_exact_or_float, pointwise_max, value_abs
 from .systems import (
     UnitValue,
     block_of_index,
+    block_range,
     gen_haar_on_cell,
     haar_decode,
-    price_digits,
+    haar_rank_vec,
     price_haar_matrix,
     price_on_cell,
+    price_rank_vec,
 )
 
 VALUE_GUARD = 2 ** 52
@@ -40,11 +42,12 @@ VALUE_GUARD = 2 ** 52
 MODES = ("haar", "price")
 
 
+_RANK_VEC = {"haar": haar_rank_vec, "price": price_rank_vec}
+
+
 def _index_block(cfg: GridConfig, mode: str, nvec) -> int:
-    """Stabilization rank of one multi-index: max per-dimension block."""
-    if mode == "haar":
-        return max(block_of_index(cfg.seqs[j], n) for j, n in enumerate(nvec))
-    return max(len(price_digits(cfg.seqs[j], n)) for j, n in enumerate(nvec))
+    """Stabilization rank of one multi-index: max per-dimension constancy rank."""
+    return max(_RANK_VEC[mode](cfg, nvec))
 
 
 def _coeff_magnitude_bound(value) -> int:
@@ -143,7 +146,7 @@ def _fold(coeff, uv: UnitValue):
     return coeff * uv.as_number()
 
 
-def partial_sum(coeffs: CoeffMap, N: int, threads: int = 1) -> StepFunction:
+def partial_sum(coeffs: CoeffMap, N: int) -> StepFunction:
     """S_N on the uniform rank-N partition.
 
     Includes exactly the terms whose every per-dimension index is below
@@ -237,11 +240,10 @@ def _sparse_bands_1d(coeffs: CoeffMap):
     yield 0, current
     for k in range(1, coeffs.stabilization_rank + 1):
         for n, coeff in bands.get(k, ()):
-            kk, r, s = haar_decode(seq, n)
+            kk, r, _ = haar_decode(seq, n)
             p = seq.factor(kk + 1)
             child_values = [
-                _fold(coeff, UnitValue(seq.modulus(kk), Fraction(x * s, p)))
-                for x in range(p)
+                _fold(coeff, gen_haar_on_cell(seq, n, kk + 1, r * p + x)) for x in range(p)
             ]
             current = _add_cell_pieces_1d(current, Cell((kk,), (r,)), child_values)
         yield k, current
@@ -282,7 +284,7 @@ def series_majorant(coeffs: CoeffMap) -> StepFunction:
         if best is None:
             best = vals
         else:
-            best = [b if float(b) >= float(v) else v for b, v in zip(best, vals)]
+            best = [b if leq_exact_or_float(v, b) else v for b, v in zip(best, vals)]
     return StepFunction.on_grid(cfg, rank_vec, best)
 
 
@@ -324,26 +326,21 @@ class AdditiveFn:
         uv_total = UnitValue.ONE
         mu = Fraction(1)
         mode = self.coeffs.mode
+        rank_needed = _RANK_VEC[mode](cfg, nvec)
         for j, n in enumerate(nvec):
-            seq = cfg.seqs[j]
             t, idx = box.ranks[j], box.indices[j]
-            if n == 0:
-                mu /= seq.modulus(t)
-                continue
-            rank_needed = (
-                haar_decode(seq, n)[0] + 1 if mode == "haar" else len(price_digits(seq, n))
-            )
-            if t < rank_needed:
-                return 0  # the full character sum over the support cancels
-            uv = _on_cell(cfg, mode, j, n, t, idx)
-            if uv.is_zero:
-                return 0
-            uv_total = uv_total * uv
-            mu /= seq.modulus(t)
+            if n != 0:
+                if t < rank_needed[j]:
+                    return 0  # the full character sum over the support cancels
+                uv = _on_cell(cfg, mode, j, n, t, idx)
+                if uv.is_zero:
+                    return 0
+                uv_total = uv_total * uv
+            mu /= cfg.seqs[j].modulus(t)
         folded = _fold(coeff, uv_total)
         return folded * mu
 
-    def value_on(self, box: Cell, threads: int = 1):
+    def value_on(self, box: Cell):
         """Psi(box): the stabilized integral of the series over the box.
 
         Uniform boxes are evaluated directly; mixed-rank boxes are summed
@@ -351,16 +348,14 @@ class AdditiveFn:
         """
         box.validate(self.cfg)
         if self._density is not None:
-            return self._density.integral(box, threads=threads)
+            return self._density.integral(box)
         if box.uniform_rank is None:
             parts = decompose_box(self.cfg, box)
-            return tree_sum(
-                [self.value_on(part) for part in parts], zero=Fraction(0), threads=threads
-            )
+            return tree_sum([self.value_on(part) for part in parts], zero=Fraction(0))
         terms = [
             self._entry_integral(nvec, coeff, box) for nvec, coeff in self.coeffs.items()
         ]
-        return tree_sum(terms, zero=Fraction(0), threads=threads)
+        return tree_sum(terms, zero=Fraction(0))
 
     def derivative(self) -> StepFunction:
         """The rank-R density: Psi(I)/mu(I) on rank-R cells, as a step function."""
@@ -394,11 +389,8 @@ class AdditiveFn:
                 cfg,
                 [(c, density.integral(c) / c.measure(cfg)) for c in cells],
             )
-            vals = avg.uniform_values(rank_vec)
-            best = [
-                b if float(b) >= float(value_abs(v)) else value_abs(v)
-                for b, v in zip(best, vals)
-            ]
+            vals = [value_abs(v) for v in avg.uniform_values(rank_vec)]
+            best = [b if leq_exact_or_float(v, b) else v for b, v in zip(best, vals)]
         return StepFunction.on_grid(cfg, rank_vec, best)
 
 
@@ -408,13 +400,6 @@ class AdditiveFn:
 
 def _block_matrices(cfg: GridConfig, block_vec):
     return [price_haar_matrix(cfg.seqs[j], t) for j, t in enumerate(block_vec)]
-
-
-def _block_indices(cfg: GridConfig, j: int, t: int):
-    if t == 0:
-        return [0]
-    seq = cfg.seqs[j]
-    return list(range(seq.modulus(t - 1), seq.modulus(t)))
 
 
 def price_coeffs_from_haar(coeffs: CoeffMap) -> CoeffMap:
@@ -444,7 +429,7 @@ def _transform(coeffs: CoeffMap, to_mode: str) -> CoeffMap:
     out = {}
     for block_vec, entries in sorted(groups.items()):
         mats = _block_matrices(cfg, block_vec)
-        dim_indices = [_block_indices(cfg, j, t) for j, t in enumerate(block_vec)]
+        dim_indices = [block_range(cfg.seqs[j], t) for j, t in enumerate(block_vec)]
         offsets = [idx[0] for idx in dim_indices]
         for target in iter_product(*dim_indices):
             acc = 0j
@@ -518,6 +503,8 @@ def coeffs_from_json_dict(data: dict) -> CoeffMap:
         for pos, part in ((1, re), (2, im)):
             if isinstance(part, bool) or not isinstance(part, (int, float)):
                 raise ValueError(f"entries[{i}][{pos}] must be a number, got {part!r}")
+            if isinstance(part, float) and not isfinite(part):
+                raise ValueError(f"entries[{i}][{pos}] must be finite, got {part!r}")
         if im == 0 and isinstance(re, int):
             value = re
         else:

@@ -44,8 +44,19 @@ def is_exact(v) -> bool:
     return isinstance(v, _EXACT_TYPES)
 
 
+def leq_exact_or_float(a, b) -> bool:
+    """a <= b: exact when both sides are exact, a double comparison otherwise.
+
+    The package's one ordering rule; every other test is written through it
+    (a > b as ``not leq_exact_or_float(a, b)``, a >= b with the sides swapped).
+    """
+    if is_exact(a) and is_exact(b):
+        return a <= b
+    return float(a) <= float(b)
+
+
 def leq_with_guard(lhs, rhs, rel: float = 1e-12) -> bool:
-    """lhs <= rhs, exact when both sides are exact.
+    """lhs <= rhs, exact when both sides are exact: truncation's test.
 
     Otherwise a double comparison with a relative guard band on the right
     side, so that values within rounding noise of the threshold count as
@@ -130,7 +141,7 @@ class StepFunction:
     def scale(self, c) -> "StepFunction":
         return self.map_values(lambda v: c * v)
 
-    def integral(self, box: Cell | None = None, threads: int = 1):
+    def integral(self, box: Cell | None = None):
         """Exact integral over `box` (default: the whole cube).
 
         Cells are intersected with the box individually, so the box may be
@@ -146,14 +157,11 @@ class StepFunction:
                 hit = c.intersect(cfg, box)
                 if hit is not None:
                     terms.append(v * hit.measure(cfg))
-        return tree_sum(terms, zero=Fraction(0), threads=threads)
+        return tree_sum(terms, zero=Fraction(0))
 
     def uniform_values(self, rank_vec) -> list:
         """Flat value list on the per-dimension uniform grid `rank_vec`."""
         return _expand(self, tuple(rank_vec))
-
-    def sup_abs(self) -> float:
-        return max(float(value_abs(v)) for v in self.values)
 
 
 def _expand(sf: StepFunction, rank_vec: tuple[int, ...]) -> list:
@@ -244,10 +252,3 @@ def zip_with(f: StepFunction, g: StepFunction, fn) -> StepFunction:
 def pointwise_max(f: StepFunction, g: StepFunction) -> StepFunction:
     """max(f, g) for real-valued step functions."""
     return zip_with(f, g, lambda a, b: a if leq_exact_or_float(b, a) else b)
-
-
-def leq_exact_or_float(a, b) -> bool:
-    """a <= b with exact semantics when both are exact, float otherwise."""
-    if is_exact(a) and is_exact(b):
-        return a <= b
-    return float(a) <= float(b)

@@ -341,13 +341,13 @@ def _conj(v):
     return v.conjugate() if isinstance(v, complex) else v
 
 
-def inner_product(f: StepFunction, g: StepFunction, threads: int = 1):
+def inner_product(f: StepFunction, g: StepFunction):
     """<f, g> = integral of f * conj(g), summed over a fixed reduction tree."""
     cfg = f.cfg
     terms = [
         a * _conj(b) * c.measure(cfg) for c, a, b in common_refinement(f, g)
     ]
-    return tree_sum(terms, zero=0, threads=threads)
+    return tree_sum(terms, zero=0)
 
 
 # ---------------------------------------------------------------------------

@@ -78,7 +78,7 @@ def _run_c1(threads):
             max_dev = 0.0
             for a in range(m3):
                 for b in range(a, m3):
-                    g = complex(inner_product(steps[a], steps[b], threads=threads))
+                    g = complex(inner_product(steps[a], steps[b]))
                     want = 1.0 if a == b else 0.0
                     max_dev = max(max_dev, abs(g - want))
             docs.append({"grid": list(factors), "system": name, "max_dev": max_dev})
@@ -135,8 +135,8 @@ def _run_c2(threads):
         pc = price_coeffs_from_haar(cm)
         sn_dev = 0.0
         for N in range(depth + 1):
-            a = partial_sum(cm, N, threads=threads).uniform_values((depth,))
-            b = partial_sum(pc, N, threads=threads).uniform_values((depth,))
+            a = partial_sum(cm, N).uniform_values((depth,))
+            b = partial_sum(pc, N).uniform_values((depth,))
             sn_dev = max(
                 sn_dev, max(abs(complex(x) - complex(y)) for x, y in zip(a, b))
             )
@@ -210,9 +210,9 @@ def _run_c3(threads):
         af = AdditiveFn.from_series(CoeffMap(cfg, entries, "haar"))
         for rank in range(R):
             for cell in _uniform_cells(cfg, rank):
-                whole = complex(af.value_on(cell, threads=threads))
+                whole = complex(af.value_on(cell))
                 total = sum(
-                    complex(af.value_on(k, threads=threads))
+                    complex(af.value_on(k))
                     for k in _all_children(cfg, cell)
                 )
                 add_dev = max(add_dev, abs(whole - total))
@@ -224,8 +224,8 @@ def _run_c3(threads):
             )
             box = Cell(ranks, idx)
             parts = decompose_box(cfg, box)
-            whole = complex(af.value_on(box, threads=threads))
-            total = sum(complex(af.value_on(p, threads=threads)) for p in parts)
+            whole = complex(af.value_on(box))
+            total = sum(complex(af.value_on(p)) for p in parts)
             mixed_dev = max(mixed_dev, abs(whole - total))
     return [
         {

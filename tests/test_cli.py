@@ -100,6 +100,27 @@ def test_systems_csv_cannot_mix_tables_and_gamma(tmp_path, capsys):
     assert "not both" in capsys.readouterr().err
 
 
+def test_gamma_block_out_of_range_names_the_flag(tmp_path, capsys):
+    grid = _write(tmp_path / "g.json", _grid_doc(2))
+    for block in ("7", "-1"):
+        rc = main(["systems", "--grid", grid, "--gamma-block", block])
+        assert rc == 1
+        assert f"--gamma-block {block} outside 0..2" in capsys.readouterr().err
+
+
+def test_non_finite_coefficient_names_the_field(tmp_path, capsys):
+    family = _write(tmp_path / "f.json", _family_doc())
+    for pos, bad in ((1, float("nan")), (2, float("inf"))):
+        doc = _series_doc()
+        doc["entries"][1][pos] = bad
+        series = _write(tmp_path / "s.json", doc)
+        rc = main(["recover", "--series", series, "--family", family,
+                   "--mode", "haar", "--index", "1"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"entries[1][{pos}]" in err
+
+
 def test_systems_requires_a_request(tmp_path, capsys):
     grid = _write(tmp_path / "g.json", _grid_doc(3))
     rc = main(["systems", "--grid", grid])

@@ -184,6 +184,14 @@ def test_check_family_oscillation_with_coarse_partition():
     assert rep.eps0 == 2
 
 
+def test_check_family_tiny_exact_member_passes():
+    """(h3) is judged exactly: an integral below the double range is still > 0."""
+    tiny = StepFunction.constant(_dyadic(2), Fraction(1, 10 ** 400))
+    rep = check_family(HFamily.from_members([tiny]))
+    assert rep.min_cell_integral == Fraction(1, 10 ** 400)
+    assert rep.passes
+
+
 def test_ah_integral_truncation_ladder():
     cfg = _dyadic(8)
     fam = _const_family(cfg)
@@ -222,6 +230,16 @@ def test_ah_integral_spike_is_not_integrable():
     assert not rep.integrable
     assert rep.a_clause == (Fraction(1, 4), Fraction(1, 2), 1, 2)
     assert rep.adm_tails["1"] == (Fraction(1, 4), Fraction(1, 2), 1, 2)
+
+
+def test_ah_integral_zero_tolerance_is_exact():
+    """A tail of 10**-400 underflows as a double but is not within tolerance 0."""
+    cfg = _dyadic(2)
+    fam = HFamily.from_members([StepFunction.constant(cfg, Fraction(1, 10 ** 400))])
+    rep = ah_integral(StepFunction.constant(cfg, 1), fam)
+    assert rep.adm_tails["1"] == (Fraction(1, 10 ** 400),)
+    assert not rep.admissible
+    assert rep.to_json_dict()["adm_tol"] == 0.0
 
 
 def test_ah_integral_on_sub_box():

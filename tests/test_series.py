@@ -294,13 +294,13 @@ def test_from_table_density():
     assert af.value_on(Cell((2,), (0,))) == Fraction(3, 4)
 
 
-def test_value_on_thread_count_invariance():
-    rng = random.Random(303)
-    cfg = GridConfig.from_lists([[2, 3, 2]])
-    coeffs = _random_coeffs(rng, cfg, "haar", 4)
-    af = AdditiveFn.from_series(coeffs)
-    box = Cell((1,), (1,))
-    assert af.value_on(box, threads=1) == af.value_on(box, threads=4)
+def test_table_majorant_compares_exactly():
+    """Two densities equal as doubles: the exact ancestor average still wins."""
+    x = Fraction(1, 3)
+    y = x + Fraction(2, 10 ** 30)
+    assert float(x) == float((x + y) / 2)
+    af = AdditiveFn.from_table(GridConfig.from_lists([[2, 2]]), 1, [x, y])
+    assert af.majorant().values[0] == (x + y) / 2
 
 
 def test_unit_value_coefficients_supported():
