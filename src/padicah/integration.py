@@ -18,6 +18,7 @@ are the only place the strict/non-strict choice can matter.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
@@ -409,15 +410,20 @@ def family_to_json_dict(fam: HFamily) -> dict:
 
 
 def _rational_from_json(raw, where: str) -> Fraction:
-    if isinstance(raw, list) and len(raw) == 2:
-        try:
-            num, den = int(raw[0]), int(raw[1])
-        except (TypeError, ValueError):
-            raise ValueError(f"{where}: entries of a rational must be integers") from None
-        if den == 0:
-            raise ValueError(f"{where}: zero denominator")
-        return Fraction(num, den)
-    raise ValueError(f"{where}: expected a [num, den] pair, got {raw!r}")
+    """A [num, den] pair; each part is a JSON integer (not a bool) or a string of one."""
+    if not (isinstance(raw, list) and len(raw) == 2):
+        raise ValueError(f"{where}: expected a [num, den] pair, got {raw!r}")
+    for part in raw:
+        if not (isinstance(part, int) and not isinstance(part, bool)
+                or isinstance(part, str) and re.fullmatch(r"[+-]?[0-9]+", part)):
+            raise ValueError(f"{where}: rational parts must be integers or integer strings, got {part!r}")
+    try:
+        num, den = int(raw[0]), int(raw[1])
+    except ValueError as exc:  # beyond the interpreter's integer-string digit limit
+        raise ValueError(f"{where}: {exc}") from None
+    if den == 0:
+        raise ValueError(f"{where}: zero denominator")
+    return Fraction(num, den)
 
 
 def family_from_json_dict(data) -> HFamily:

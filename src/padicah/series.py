@@ -21,6 +21,8 @@ from fractions import Fraction
 from itertools import product as iter_product
 from math import isfinite, isqrt, prod
 
+import numpy as np
+
 from .errors import ConfigMismatch, ValueGuardError
 from .grid import Cell, GridConfig, decompose_box, full_cube
 from .parallel import tree_sum
@@ -398,15 +400,12 @@ class AdditiveFn:
 # basis change between the two systems
 
 
-def _block_matrices(cfg: GridConfig, block_vec):
-    return [price_haar_matrix(cfg.seqs[j], t) for j, t in enumerate(block_vec)]
-
-
 def price_coeffs_from_haar(coeffs: CoeffMap) -> CoeffMap:
     """Haar-mode map {a_l} -> Price-mode map {b_k}, block by block.
 
     b_k = sum_l conj(G_1[k1,l1] * ... * Gd[kd,ld]) * a_l with G the
-    per-dimension block matrices; support is padded to full blocks.
+    per-dimension block matrices; the result holds every coefficient of
+    each touched block that is not exactly zero.
     """
     if coeffs.mode != "haar":
         raise ValueError("expected a haar-mode coefficient map")
@@ -421,37 +420,27 @@ def haar_coeffs_from_price(coeffs: CoeffMap) -> CoeffMap:
 
 
 def _transform(coeffs: CoeffMap, to_mode: str) -> CoeffMap:
+    """Scatter each touched block into a dense array and apply conj(G_j)
+    (to Price) or G_j transposed (to Haar) along axis j."""
     cfg = coeffs.cfg
     groups: dict[tuple[int, ...], dict] = {}
     for nvec, value in coeffs.items():
         block_vec = tuple(block_of_index(cfg.seqs[j], n) for j, n in enumerate(nvec))
         groups.setdefault(block_vec, {})[nvec] = value
     out = {}
-    for block_vec, entries in sorted(groups.items()):
-        mats = _block_matrices(cfg, block_vec)
-        dim_indices = [block_range(cfg.seqs[j], t) for j, t in enumerate(block_vec)]
-        offsets = [idx[0] for idx in dim_indices]
-        for target in iter_product(*dim_indices):
-            acc = 0j
-            for source, value in entries.items():
-                w = 1.0 + 0j
-                for j in range(cfg.dim):
-                    if to_mode == "price":
-                        g = mats[j][target[j] - offsets[j], source[j] - offsets[j]]
-                        w *= g.conjugate()
-                    else:
-                        g = mats[j][source[j] - offsets[j], target[j] - offsets[j]]
-                        w *= g
-                acc += w * complex(_as_complex(value))
-            if acc != 0:
-                out[target] = out.get(target, 0) + acc
+    for block_vec, entries in groups.items():
+        mats = [price_haar_matrix(cfg.seqs[j], t) for j, t in enumerate(block_vec)]
+        offsets = [block_range(cfg.seqs[j], t)[0] for j, t in enumerate(block_vec)]
+        block = np.zeros([g.shape[0] for g in mats], dtype=complex)
+        for nvec, value in entries.items():
+            exact = value.as_number() if isinstance(value, UnitValue) else value
+            block[tuple(n - o for n, o in zip(nvec, offsets))] = complex(exact)
+        for j, g in enumerate(mats):
+            g = g.conj() if to_mode == "price" else g.T
+            block = np.moveaxis(np.tensordot(g, block, axes=(1, j)), 0, j)
+        for pos in zip(*np.nonzero(block)):
+            out[tuple(int(i) + o for i, o in zip(pos, offsets))] = complex(block[pos])
     return CoeffMap(cfg, out, mode=to_mode)
-
-
-def _as_complex(value) -> complex:
-    if isinstance(value, UnitValue):
-        return complex(value.as_number())
-    return complex(value)
 
 
 # ---------------------------------------------------------------------------

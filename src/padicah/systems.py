@@ -366,24 +366,27 @@ def price_haar_matrix(seq: BranchSeq, block_rank: int) -> np.ndarray:
 
     Both systems restricted to block t span the same space of step
     functions, so G is unitary; psi_k = sum_l G[k][l] chi_l exactly.
-    Entries come from exact-phase sums over the rank-t cells, converted
-    to complex once per term.
+    In closed form, with m = m_{t-1}, k = a + alpha_t * m and l decoded to
+    (t-1, r, s): G[k][l] = [alpha_t = s] * omega**N(a, r) * sqrt(m) / m,
+    where omega = exp(2*pi*i / m) and N = sum_{j<t} alpha_j d_j (m / p_j)
+    over the Price digits alpha_j of a and the digits d_j of r (most
+    significant first): the character table of Z_{p_1} x ... x Z_{p_{t-1}}
+    on the p_t - 1 diagonal (s, s) sub-blocks, exact zeros elsewhere.
     """
     if block_rank == 0:
         return np.ones((1, 1), dtype=complex)
     t = block_rank
-    idx = block_range(seq, t)
-    m_prev, m_t = seq.modulus(t - 1), seq.modulus(t)
-    p = seq.factor(t)
-    scale = sqrt(m_prev) / m_t
-    out = np.zeros((len(idx), len(idx)), dtype=complex)
-    for row, k in enumerate(idx):
-        for col, l in enumerate(idx):
-            _, r, s = haar_decode(seq, l)
-            acc = 0j
-            for x in range(p):
-                cell = r * p + x
-                phase = price_on_cell(seq, k, t, cell).phase - Fraction(x * s, p)
-                acc += cmath.exp(2j * cmath.pi * float(phase % 1))
-            out[row, col] = acc * scale
-    return out
+    m, p = seq.modulus(t - 1), seq.factor(t)
+    cells = np.arange(m)
+    exponent = np.zeros((m, m), dtype=np.int64)
+    for j in range(1, t):
+        p_j = seq.factor(j)
+        alpha = cells // seq.modulus(j - 1) % p_j
+        digit = cells // (m // seq.modulus(j)) % p_j
+        exponent += np.outer(alpha, digit * (m // p_j))
+    table = np.exp(2j * np.pi * cells / m)[exponent % m] * (sqrt(m) / m)
+    # rows (alpha_t - 1, a), columns (r, s - 1)
+    out = np.zeros((p - 1, m, m, p - 1), dtype=complex)
+    for s in range(p - 1):
+        out[s, :, :, s] = table
+    return out.reshape((p - 1) * m, m * (p - 1))

@@ -223,6 +223,45 @@ def test_check_family_pass_and_fail(tmp_path):
     assert doc["passes"] is False
 
 
+def test_family_float_rational_part_names_the_field(tmp_path, capsys):
+    doc = _family_doc(count=2)
+    doc["members"][1]["values"] = [[1.5, 1]]
+    rc = main(["check-family", "--family", _write(tmp_path / "f.json", doc)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "members[1].values[0]" in err and "1.5" in err
+
+
+def test_family_bool_rational_part_names_the_field(tmp_path, capsys):
+    doc = _family_doc(count=2)
+    doc["bound_c"] = [True, 1]
+    rc = main(["check-family", "--family", _write(tmp_path / "f.json", doc)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "bound_c" in err and "True" in err
+
+
+def test_family_infinite_rational_part_names_the_field(tmp_path, capsys):
+    doc = _family_doc(count=2)
+    doc["members"][0]["values"] = [[float("inf"), 1]]  # written as Infinity
+    path = _write(tmp_path / "f.json", doc)
+    assert "Infinity" in (tmp_path / "f.json").read_text()
+    rc = main(["check-family", "--family", path])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "members[0].values[0]" in err
+
+
+def test_family_integer_and_string_rational_parts_agree(tmp_path):
+    as_ints = _family_doc(count=2)
+    for entry in as_ints["members"]:
+        entry["values"] = [[int(v) for v in pair] for pair in entry["values"]]
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert main(["check-family", "--family", _write(tmp_path / "i.json", as_ints), "--out", str(a)]) == 0
+    assert main(["check-family", "--family", _write(tmp_path / "s.json", _family_doc(count=2)), "--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
 def test_counterexample_report(tmp_path):
     out = tmp_path / "ce.json"
     rc = main(["counterexample", "--nmax", "2", "--out", str(out)])

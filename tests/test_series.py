@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padicah import (
     AdditiveFn,
@@ -24,6 +26,7 @@ from padicah import (
     series_majorant,
     stabilized_sum,
 )
+from padicah.systems import block_of_index
 
 
 def _eval_at(coeffs, digit_rows, N=None):
@@ -255,6 +258,61 @@ def test_transform_parseval_per_block():
         ha = sum(abs(complex(coeffs.get((n,)))) ** 2 for n in blk)
         pr = sum(abs(complex(price.get((k,)))) ** 2 for k in blk)
         assert abs(ha - pr) < 1e-10
+
+
+@st.composite
+def _sparse_haar_series(draw, max_cells=5 ** 6):
+    """A 1-D or 2-D grid with p <= 5, depth <= 3 and at most `max_cells`
+    cells at full depth, carrying one to four Haar coefficients."""
+    dim = draw(st.integers(1, 2))
+    depth = draw(st.integers(1, 3))
+    lists, cells = [[] for _ in range(dim)], 1
+    for slot in range(dim * depth):
+        room = max_cells // (cells * 2 ** (dim * depth - slot - 1))
+        p = draw(st.integers(2, min(5, room)))
+        lists[slot % dim].append(p)
+        cells *= p
+    cfg = GridConfig.from_lists(lists)
+    index = st.tuples(*(st.integers(0, seq.modulus(depth) - 1) for seq in cfg.seqs))
+    value = st.one_of(
+        st.integers(-4, 4), st.builds(complex, st.floats(-2, 2), st.floats(-2, 2))
+    )
+    return CoeffMap(cfg, draw(st.dictionaries(index, value, min_size=1, max_size=4)), "haar")
+
+
+def _block_energy(coeffs):
+    energy = {}
+    for nvec, value in coeffs.items():
+        key = tuple(block_of_index(seq, n) for seq, n in zip(coeffs.cfg.seqs, nvec))
+        energy[key] = energy.get(key, 0) + abs(complex(value)) ** 2
+    return energy
+
+
+@settings(max_examples=60)
+@given(_sparse_haar_series())
+def test_round_trip_property(coeffs):
+    back = haar_coeffs_from_price(price_coeffs_from_haar(coeffs))
+    for nvec in set(coeffs.support()) | set(back.support()):
+        assert abs(complex(back.get(nvec)) - complex(coeffs.get(nvec))) < 1e-10
+
+
+@settings(max_examples=60)
+@given(_sparse_haar_series())
+def test_parseval_per_block_property(coeffs):
+    haar, price = _block_energy(coeffs), _block_energy(price_coeffs_from_haar(coeffs))
+    for key in set(haar) | set(price):
+        assert abs(haar.get(key, 0) - price.get(key, 0)) < 1e-10
+
+
+@settings(max_examples=25)
+@given(_sparse_haar_series(max_cells=144))
+def test_partial_sums_agree_across_systems_property(coeffs):
+    price = price_coeffs_from_haar(coeffs)
+    for N in range(coeffs.cfg.min_depth + 1):
+        a, b = partial_sum(coeffs, N), partial_sum(price, N)
+        assert a.cells == b.cells
+        for x, y in zip(a.values, b.values):
+            assert abs(complex(x) - complex(y)) < 1e-9
 
 
 def test_coeff_json_round_trip():

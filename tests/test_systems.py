@@ -229,6 +229,41 @@ def test_gamma_matrix_unitary():
             assert np.max(np.abs(m.conj().T @ m - eye)) < 1e-12
 
 
+def test_gamma_matrix_is_exactly_zero_off_the_frequency_diagonal():
+    """G[k, l] vanishes exactly unless the top Price digit alpha_t equals s."""
+    for lists in ((2, 5, 3), (3, 2, 2), (3, 3, 3, 3)):
+        seq = BranchSeq(lists)
+        for t in range(1, len(lists) + 1):
+            mat = price_haar_matrix(seq, t)
+            idx = block_range(seq, t)
+            top = [price_digits(seq, k)[-1] for k in idx]
+            freq = [haar_decode(seq, l)[2] for l in idx]
+            for a in range(len(idx)):
+                for b in range(len(idx)):
+                    if top[a] != freq[b]:
+                        assert mat[a, b] == 0
+
+
+@pytest.mark.parametrize("lists", [(2, 5, 3), (3, 2, 2)])
+def test_gamma_matrix_matches_brute_force_inner_products(lists):
+    seq = BranchSeq(lists)
+    cfg = GridConfig((seq,))
+    for t in range(len(lists) + 1):
+        idx = block_range(seq, t)
+        price = [tensor_price_step(cfg, (k,)) for k in idx]
+        haar = [tensor_haar_step(cfg, (l,)) for l in idx]
+        want = np.array([[complex(inner_product(f, g)) for g in haar] for f in price])
+        assert np.max(np.abs(price_haar_matrix(seq, t) - want)) < 1e-12
+
+
+def test_gamma_matrix_p3_block_6_is_unitary():
+    mat = price_haar_matrix(BranchSeq((3,) * 6), 6)
+    assert mat.shape == (486, 486)
+    eye = np.eye(486)
+    assert np.max(np.abs(mat @ mat.conj().T - eye)) < 1e-12
+    assert np.max(np.abs(mat.conj().T @ mat - eye)) < 1e-12
+
+
 def test_haar_encode_rejects_bad_args():
     seq = BranchSeq((2, 3))
     with pytest.raises(ValueError):
