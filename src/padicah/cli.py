@@ -153,11 +153,12 @@ def cmd_systems(args) -> int:
                     rows.append([label, *lo, *hi, re, im])
             _emit(_csv_text(header, rows), args.out)
         else:
-            rows = []
-            for j, t, mat in blocks:
-                for r in range(mat.shape[0]):
-                    for c in range(mat.shape[1]):
-                        rows.append([j, t, r, c, repr(float(mat[r, c].real)), repr(float(mat[r, c].imag))])
+            rows = [
+                [j, t, r, c, repr(re), repr(im)]
+                for j, t, mat in blocks
+                for r, (res, ims) in enumerate(zip(mat.real.tolist(), mat.imag.tolist()))
+                for c, (re, im) in enumerate(zip(res, ims))
+            ]
             _emit(_csv_text(["dim", "block", "row", "col", "re", "im"], rows), args.out)
         return 0
 
@@ -178,8 +179,8 @@ def cmd_systems(args) -> int:
                 "block": t,
                 "dim": j,
                 "matrix": [
-                    [{"im": mat[r, c].imag, "re": mat[r, c].real} for c in range(mat.shape[1])]
-                    for r in range(mat.shape[0])
+                    [{"im": im, "re": re} for re, im in zip(res, ims)]
+                    for res, ims in zip(mat.real.tolist(), mat.imag.tolist())
                 ],
             }
             for j, t, mat in blocks

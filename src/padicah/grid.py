@@ -32,10 +32,13 @@ class BranchSeq:
     Attributes:
         p: branching factors ``p_1..p_K``, each at least 2.
         moduli: ``m_0..m_K`` with ``m_0 = 1`` and ``m_k = m_{k-1} * p_k``.
+        widths: ``m_K / m_k``, so rank-k interval n starts at integer
+            position ``n * widths[k]`` in units of rank-K intervals.
     """
 
     p: tuple[int, ...]
     moduli: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    widths: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         p = tuple(int(v) for v in self.p)
@@ -47,6 +50,7 @@ class BranchSeq:
         for v in p:
             mods.append(mods[-1] * v)
         object.__setattr__(self, "moduli", tuple(mods))
+        object.__setattr__(self, "widths", tuple(mods[-1] // m for m in mods))
 
     @property
     def depth(self) -> int:
@@ -176,8 +180,11 @@ class Cell:
     def end(self, cfg: GridConfig, j: int) -> Fraction:
         return Fraction(self.indices[j] + 1, cfg.seqs[j].modulus(self.ranks[j]))
 
-    def sort_key(self, cfg: GridConfig):
-        return tuple((self.start(cfg, j), self.ranks[j]) for j in range(self.dim))
+    def sort_key(self, cfg: GridConfig) -> tuple[int, ...]:
+        """Canonical order: per dimension the integer start position
+        (``widths``), then the rank.  The cell must be valid on `cfg`."""
+        return tuple(x for seq, k, n in zip(cfg.seqs, self.ranks, self.indices)
+                     for x in (n * seq.widths[k], k))
 
     def contains(self, cfg: GridConfig, other: "Cell") -> bool:
         """Whole-cell containment: every dimension of `other` nests in self."""
@@ -339,33 +346,78 @@ def cell_of_point(cfg: GridConfig, pt: PointCode, rank: int) -> Cell:
     return Cell((rank,) * cfg.dim, tuple(indices))
 
 
+def meeting_pairs(cfg: GridConfig, ranks, F, G, out) -> bool:
+    """Append (a, a_payload, b, b_payload) for every pair of meeting cells.
+
+    F and G are (cell, payload) lists tiling the region of rank vector
+    `ranks`.  A single cell meets every cell of the other side; otherwise
+    the region splits along one dimension, preferably one that no cell of
+    F (or of G) spans, so that each pair lands in one child.  Only a
+    pinwheel on both sides (d >= 3) forces a split that repeats pairs,
+    and then the return value is True.  Raises ValueError on a gap or an
+    overlap.
+    """
+    if not F or not G:
+        raise ValueError("a partition leaves part of the region uncovered")
+    if len(F) == 1 or len(G) == 1:
+        out.extend((*a, *b) for a in F for b in G)
+        return False
+    best = None
+    for j, r in enumerate(ranks):
+        span_f = sum(a.ranks[j] <= r for a, _ in F)
+        span_g = sum(b.ranks[j] <= r for b, _ in G)
+        if span_f + span_g < len(F) + len(G):  # something is finer along j
+            key = (span_f > 0 and span_g > 0, span_f + span_g, j)
+            best = key if best is None else min(best, key)
+    if best is None:  # every cell contains the region
+        x, y = (F if len(F) > 1 else G)[:2]
+        raise ValueError(f"cells {x[0]} and {y[0]} overlap")
+    repeats, _, j = best
+    child = list(ranks)
+    child[j] += 1
+    for fc, gc in zip(_split_along(cfg, F, ranks, j), _split_along(cfg, G, ranks, j)):
+        repeats |= meeting_pairs(cfg, child, fc, gc, out)
+    return repeats
+
+
+def _split_along(cfg: GridConfig, items, ranks, j: int) -> list[list]:
+    """Bucket (cell, payload) items by the region's children along dim j;
+    an item whose interval spans the region goes into every bucket."""
+    seq = cfg.seqs[j]
+    r = ranks[j]
+    p, mods = seq.p[r], seq.moduli
+    buckets = [[] for _ in range(p)]
+    for item in items:
+        k = item[0].ranks[j]
+        if k <= r:
+            for bucket in buckets:
+                bucket.append(item)
+        else:
+            buckets[item[0].indices[j] // (mods[k] // mods[r + 1]) % p].append(item)
+    return buckets
+
+
 def validate_partition(cfg: GridConfig, cells, region: Cell | None = None) -> None:
     """Check that `cells` tile `region` (default: the whole cube) exactly.
 
-    Verifies containment, pairwise disjointness, and that measures add to
-    the region's measure; everything in exact arithmetic.
+    Verifies containment and the measure sum (in integer units of the
+    deepest cells), then sweeps the cells against themselves to find any
+    overlap: about cell count times depth, with no pairwise pass.
     """
     region = region if region is not None else full_cube(cfg.dim)
     region.validate(cfg)
     cells = list(cells)
-    total = Fraction(0)
+    total = 0
     for c in cells:
         c.validate(cfg)
         if not region.contains(cfg, c):
             raise ValueError(f"cell {c} is not inside the region {region}")
-        total += c.measure(cfg)
-    if total != region.measure(cfg):
+        total += prod(seq.widths[k] for seq, k in zip(cfg.seqs, c.ranks))
+    if total != prod(seq.widths[k] for seq, k in zip(cfg.seqs, region.ranks)):
+        unit = prod(seq.widths[0] for seq in cfg.seqs)
         raise ValueError(
-            f"partition measures sum to {total}, region has measure {region.measure(cfg)}"
+            f"partition measures sum to {Fraction(total, unit)}, "
+            f"region has measure {region.measure(cfg)}"
         )
-    ordered = sorted(cells, key=lambda c: c.sort_key(cfg))
-    for a, b in zip(ordered, ordered[1:]):
-        if a.intersect(cfg, b) is not None:
-            raise ValueError(f"cells {a} and {b} overlap")
-    # adjacent-pair disjointness does not cover d >= 2; do the full check
-    # there (partition sizes are small wherever this validator is used).
-    if cfg.dim > 1:
-        for i, a in enumerate(ordered):
-            for b in ordered[i + 1:]:
-                if a.intersect(cfg, b) is not None:
-                    raise ValueError(f"cells {a} and {b} overlap")
+    items = [(c, None) for c in cells]
+    meeting_pairs(cfg, list(region.ranks), items, items, [])

@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import sqrt
 
 from .errors import ConfigMismatch
-from .grid import Cell, GridConfig, cell_from_json_dict, full_cube
+from .grid import Cell, GridConfig, cell_from_json_dict, full_cube, validate_partition
 from .parallel import parallel_map, tree_sum
 from .reports import SCHEMA_VERSION, cell_json, encode_value, encode_values, rational_pair
 from .stepfn import (
@@ -34,6 +34,7 @@ from .stepfn import (
     leq_exact_or_float,
     leq_with_guard,
     value_abs_sq,
+    zip_with,
 )
 
 
@@ -54,11 +55,9 @@ def truncate(f: StepFunction, h: StepFunction, scale_sq=1) -> StepFunction:
     doubles with a 1e-12 relative guard band; ties keep the value.
     """
     _require_cutoff_values(h)
-    pieces = []
-    for cell, fv, hv in common_refinement(f, h):
-        keep = leq_with_guard(value_abs_sq(fv), scale_sq * hv * hv)
-        pieces.append((cell, fv if keep else 0))
-    return StepFunction(f.cfg, tuple(c for c, _ in pieces), tuple(v for _, v in pieces))
+    return zip_with(
+        f, h, lambda fv, hv: fv if leq_with_guard(value_abs_sq(fv), scale_sq * hv * hv) else 0
+    )
 
 
 def tail_integral(g: StepFunction, h: StepFunction, alpha=1, strict: bool = True,
@@ -446,21 +445,24 @@ def family_from_json_dict(data) -> HFamily:
                 f"members[{i}]: {len(cells_raw)} cells against {len(values_raw)} values"
             )
         cells = [cell_from_json_dict(c) for c in cells_raw]
-        for c in cells:
-            c.validate(cfg)
         values = [
             _rational_from_json(v, f"members[{i}].values[{t}]")
             for t, v in enumerate(values_raw)
         ]
-        h = StepFunction.from_pieces(cfg, zip(cells, values))
+        try:
+            h = StepFunction.from_pieces(cfg, zip(cells, values), validate=True)
+        except ValueError as exc:
+            raise ValueError(f"members[{i}].cells: {exc}") from None
         members.append(h)
         part_raw = entry.get("partition")
         if part_raw is None:
             partitions.append(h.cells)
         else:
             part = [cell_from_json_dict(c) for c in part_raw]
-            for c in part:
-                c.validate(cfg)
+            try:
+                validate_partition(cfg, part)
+            except ValueError as exc:
+                raise ValueError(f"members[{i}].partition: {exc}") from None
             partitions.append(tuple(sorted(part, key=lambda c: c.sort_key(cfg))))
     raw_bound = data.get("bound_c")
     bound = _rational_from_json(raw_bound, "bound_c") if raw_bound is not None else Fraction(1)

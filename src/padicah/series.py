@@ -18,17 +18,19 @@ the 2**52 guard) exactly representable.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from itertools import product as iter_product
 from math import isfinite, isqrt, prod
 
 import numpy as np
 
 from .errors import ConfigMismatch, ValueGuardError
-from .grid import Cell, GridConfig, decompose_box, full_cube
+from .grid import Cell, GridConfig, decompose_box
 from .parallel import tree_sum
-from .stepfn import StepFunction, leq_exact_or_float, pointwise_max, value_abs
+from .stepfn import StepFunction, pointwise_max, uniform_sizes, value_abs
 from .systems import (
     UnitValue,
+    add_haar_term,
     block_of_index,
     block_range,
     gen_haar_on_cell,
@@ -141,13 +143,6 @@ def _on_cell(cfg: GridConfig, mode: str, j: int, n: int, rank: int, index: int) 
     return price_on_cell(cfg.seqs[j], n, rank, index)
 
 
-def _fold(coeff, uv: UnitValue):
-    """coeff * uv as a number, exactly when both sides are exact."""
-    if isinstance(coeff, UnitValue):
-        return (coeff * uv).as_number()
-    return coeff * uv.as_number()
-
-
 def partial_sum(coeffs: CoeffMap, N: int) -> StepFunction:
     """S_N on the uniform rank-N partition.
 
@@ -156,7 +151,7 @@ def partial_sum(coeffs: CoeffMap, N: int) -> StepFunction:
     the full sum.
     """
     cfg = coeffs.cfg
-    sizes = [cfg.seqs[j].modulus(N) for j in range(cfg.dim)]
+    sizes = uniform_sizes(cfg, (N,) * cfg.dim)
     strides = [1] * cfg.dim
     for j in range(cfg.dim - 2, -1, -1):
         strides[j] = strides[j + 1] * sizes[j + 1]
@@ -177,92 +172,35 @@ def partial_sum(coeffs: CoeffMap, N: int) -> StepFunction:
             for _, u in combo[1:]:
                 uv = uv * u
             flat = sum(i * s for (i, _), s in zip(combo, strides))
-            vals[flat] = vals[flat] + _fold(coeff, uv)
+            vals[flat] = vals[flat] + uv.times(coeff)
     return StepFunction.on_grid(cfg, (N,) * cfg.dim, vals)
 
 
 # ---------------------------------------------------------------------------
-# sparse 1-D partial sums (keeps the deep dyadic example tractable)
+# banded Haar sums
 
 
-def _add_cell_pieces_1d(sf: StepFunction, support: Cell, child_values) -> StepFunction:
-    """Add to `sf` a function supported on `support` (1-D, rank k), constant
-    on each of its rank-(k+1) children with the given values."""
-    cfg = sf.cfg
-    seq = cfg.seqs[0]
-    k, r = support.ranks[0], support.indices[0]
-    p = len(child_values)
-    out = []
-    for cell, val in zip(sf.cells, sf.values):
-        t, idx = cell.ranks[0], cell.indices[0]
-        if t <= k:
-            ratio = seq.modulus(k) // seq.modulus(t)
-            if r // ratio != idx:
-                out.append((cell, val))
-                continue
-            cur_rank, cur_idx = t, idx
-            while cur_rank < k:
-                pp = seq.factor(cur_rank + 1)
-                target = r // (seq.modulus(k) // seq.modulus(cur_rank + 1))
-                for x in range(pp):
-                    child = cur_idx * pp + x
-                    if child != target:
-                        out.append((Cell((cur_rank + 1,), (child,)), val))
-                cur_rank += 1
-                cur_idx = target
-            for x in range(p):
-                out.append((Cell((k + 1,), (r * p + x,)), val + child_values[x]))
-        else:
-            ratio = seq.modulus(t) // seq.modulus(k)
-            if idx // ratio != r:
-                out.append((cell, val))
-                continue
-            digit = (idx // (seq.modulus(t) // seq.modulus(k + 1))) % p
-            out.append((cell, val + child_values[digit]))
-    return StepFunction.from_pieces(cfg, out)
-
-
-def _sparse_bands_1d(coeffs: CoeffMap):
-    """Yield (k, S_k) for k = 0..R with S_k as sparse step functions.
-
-    Haar mode, one dimension: each term touches one support cell, so the
-    piece count grows linearly in the number of terms instead of with the
-    modulus of the deepest rank.
-    """
+def _haar_bands(coeffs: CoeffMap):
+    """Yield S_k for k = 0..R as sparse step functions (Haar mode): S_k is
+    S_{k-1} plus the terms of block k, each added on its own support."""
     cfg = coeffs.cfg
-    seq = cfg.seqs[0]
     bands = {}
-    const = 0
-    for (n,), coeff in coeffs.items():
-        if n == 0:
-            const = const + _fold(coeff, UnitValue.ONE)
-        else:
-            bands.setdefault(block_of_index(seq, n), []).append((n, coeff))
-    current = StepFunction.constant(cfg, const)
-    yield 0, current
-    for k in range(1, coeffs.stabilization_rank + 1):
-        for n, coeff in bands.get(k, ()):
-            kk, r, _ = haar_decode(seq, n)
-            p = seq.factor(kk + 1)
-            child_values = [
-                _fold(coeff, gen_haar_on_cell(seq, n, kk + 1, r * p + x)) for x in range(p)
-            ]
-            current = _add_cell_pieces_1d(current, Cell((kk,), (r,)), child_values)
-        yield k, current
-
-
-def _use_sparse(coeffs: CoeffMap) -> bool:
-    return coeffs.cfg.dim == 1 and coeffs.mode == "haar"
+    for nvec, coeff in coeffs.items():
+        bands.setdefault(_index_block(cfg, "haar", nvec), []).append((nvec, coeff))
+    current = StepFunction.constant(cfg, 0)
+    for k in range(coeffs.stabilization_rank + 1):
+        for nvec, coeff in bands.get(k, ()):
+            current = add_haar_term(current, nvec, coeff)
+        yield current
 
 
 def stabilized_sum(coeffs: CoeffMap) -> StepFunction:
-    """The full sum S_R, on a sparse partition when one is available."""
-    if _use_sparse(coeffs):
-        last = StepFunction.constant(coeffs.cfg, 0)
-        for _, sf in _sparse_bands_1d(coeffs):
-            last = sf
-        return last
-    return partial_sum(coeffs, coeffs.stabilization_rank)
+    """The full sum S_R: sparse in Haar mode, the rank-R grid in Price mode."""
+    if coeffs.mode == "price":
+        return partial_sum(coeffs, coeffs.stabilization_rank)
+    for last in _haar_bands(coeffs):
+        pass
+    return last
 
 
 def series_majorant(coeffs: CoeffMap) -> StepFunction:
@@ -271,23 +209,11 @@ def series_majorant(coeffs: CoeffMap) -> StepFunction:
     Equals, cell by cell at rank R, the maximum of |Psi(I)| / mu(I) over
     the chain of uniform-rank ancestors I of the cell.
     """
-    if _use_sparse(coeffs):
-        best = None
-        for _, sf in _sparse_bands_1d(coeffs):
-            best = sf.abs() if best is None else pointwise_max(best, sf.abs())
-        return best
-    cfg = coeffs.cfg
-    R = coeffs.stabilization_rank
-    rank_vec = (R,) * cfg.dim
-    best = None
-    for k in range(R + 1):
-        vals = partial_sum(coeffs, k).uniform_values(rank_vec)
-        vals = [value_abs(v) for v in vals]
-        if best is None:
-            best = vals
-        else:
-            best = [b if leq_exact_or_float(v, b) else v for b, v in zip(best, vals)]
-    return StepFunction.on_grid(cfg, rank_vec, best)
+    if coeffs.mode == "price":
+        sums = (partial_sum(coeffs, k) for k in range(coeffs.stabilization_rank + 1))
+    else:
+        sums = _haar_bands(coeffs)
+    return reduce(pointwise_max, (sf.abs() for sf in sums))
 
 
 # ---------------------------------------------------------------------------
@@ -339,8 +265,7 @@ class AdditiveFn:
                     return 0
                 uv_total = uv_total * uv
             mu /= cfg.seqs[j].modulus(t)
-        folded = _fold(coeff, uv_total)
-        return folded * mu
+        return uv_total.times(coeff) * mu
 
     def value_on(self, box: Cell):
         """Psi(box): the stabilized integral of the series over the box.
@@ -375,25 +300,18 @@ class AdditiveFn:
         return self._majorant
 
     def _table_majorant(self) -> StepFunction:
-        density = self._density
-        cfg = self.cfg
-        R = max(density.max_ranks())
-        rank_vec = (R,) * cfg.dim
-        base = density.uniform_values(rank_vec)
-        best = [value_abs(v) for v in base]
-        for k in range(R):
-            sizes = [cfg.seqs[j].modulus(k) for j in range(cfg.dim)]
-            cells = [
+        """Running maximum of |density| and its averages on the uniform
+        rank-k cells, k < R."""
+        density, cfg = self._density, self.cfg
+        best = density.abs()
+        for k in range(max(density.max_ranks())):
+            cells = tuple(
                 Cell((k,) * cfg.dim, combo)
-                for combo in iter_product(*(range(s) for s in sizes))
-            ]
-            avg = StepFunction.from_pieces(
-                cfg,
-                [(c, density.integral(c) / c.measure(cfg)) for c in cells],
+                for combo in iter_product(*(range(seq.modulus(k)) for seq in cfg.seqs))
             )
-            vals = [value_abs(v) for v in avg.uniform_values(rank_vec)]
-            best = [b if leq_exact_or_float(v, b) else v for b, v in zip(best, vals)]
-        return StepFunction.on_grid(cfg, rank_vec, best)
+            averages = tuple(value_abs(density.integral(c) / c.measure(cfg)) for c in cells)
+            best = pointwise_max(best, StepFunction(cfg, cells, averages))
+        return best
 
 
 # ---------------------------------------------------------------------------

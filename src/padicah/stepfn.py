@@ -1,14 +1,16 @@
 """Step functions over grid partitions, with exact refinement algebra.
 
-A StepFunction is constant on each cell of a partition of the unit cube.
-Values may be ints, Fractions, floats, or complex numbers; measures are
-always exact Fractions, so integrals of exact-valued functions are exact.
+A StepFunction is constant on each cell of a partition of the unit cube,
+listed in canonical cell order.  Values may be ints, Fractions, floats, or
+complex numbers; measures are always exact Fractions, so integrals of
+exact-valued functions are exact.
 
-Combining two step functions refines both onto a common partition.  In
-one dimension this is a linear merge walk exploiting the nested-or-disjoint
-property (the result stays as sparse as the inputs); in higher dimensions
-both operands are expanded onto the product grid at the per-dimension
-maximal ranks, guarded by a hard cell-count cap.
+Partitions are sparse in every dimension (cells are products of
+intervals of mixed ranks); only ``uniform_values`` expands onto a uniform
+grid, under a hard cell-count cap.  Two step functions combine on their
+coarsest common refinement: the nonempty pairwise intersections of their
+cells, which are cells again, found by a sweep that splits the cube one
+dimension at a time (in one dimension, a linear merge).
 """
 from __future__ import annotations
 
@@ -18,10 +20,28 @@ from itertools import product as iter_product
 from math import prod
 
 from .errors import ConfigMismatch
-from .grid import Cell, GridConfig, PointCode, full_cube, point_position
+from .grid import (
+    Cell,
+    GridConfig,
+    PointCode,
+    full_cube,
+    meeting_pairs,
+    point_position,
+    validate_partition,
+)
 from .parallel import tree_sum
 
 MAX_UNIFORM_CELLS = 1 << 22
+
+
+def uniform_sizes(cfg: GridConfig, rank_vec) -> list[int]:
+    """Per-dimension cell counts of the uniform grid `rank_vec`, checked
+    against the cap before anything is built."""
+    sizes = [cfg.seqs[j].modulus(k) for j, k in enumerate(rank_vec)]
+    total = prod(sizes)
+    if total > MAX_UNIFORM_CELLS:
+        raise ValueError(f"uniform grid of {total} cells exceeds the {MAX_UNIFORM_CELLS} cap")
+    return sizes
 
 _EXACT_TYPES = (int, Fraction)
 
@@ -88,10 +108,8 @@ class StepFunction:
         fastest), length ``prod_j m_j(rank_vec[j])``.
         """
         rank_vec = tuple(rank_vec)
-        sizes = [cfg.seqs[j].modulus(k) for j, k in enumerate(rank_vec)]
+        sizes = uniform_sizes(cfg, rank_vec)
         total = prod(sizes)
-        if total > MAX_UNIFORM_CELLS:
-            raise ValueError(f"uniform grid of {total} cells exceeds the {MAX_UNIFORM_CELLS} cap")
         values = tuple(values)
         if len(values) != total:
             raise ValueError(f"expected {total} values, got {len(values)}")
@@ -102,15 +120,15 @@ class StepFunction:
 
     @classmethod
     def from_pieces(cls, cfg: GridConfig, pieces, validate: bool = False) -> "StepFunction":
-        """Build from (cell, value) pairs; sorts into canonical order."""
-        pieces = sorted(pieces, key=lambda cv: cv[0].sort_key(cfg))
-        cells = tuple(c for c, _ in pieces)
-        values = tuple(v for _, v in pieces)
-        if validate:
-            from .grid import validate_partition
+        """Build from (cell, value) pairs; sorts into canonical order.
 
-            validate_partition(cfg, cells)
-        return cls(cfg, cells, values)
+        With `validate`, first checks that the cells tile the cube.
+        """
+        pieces = list(pieces)
+        if validate:
+            validate_partition(cfg, [c for c, _ in pieces])
+        pieces.sort(key=lambda cv: cv[0].sort_key(cfg))
+        return cls(cfg, tuple(c for c, _ in pieces), tuple(v for _, v in pieces))
 
     @property
     def dim(self) -> int:
@@ -166,14 +184,11 @@ class StepFunction:
 
 def _expand(sf: StepFunction, rank_vec: tuple[int, ...]) -> list:
     cfg = sf.cfg
-    sizes = [cfg.seqs[j].modulus(k) for j, k in enumerate(rank_vec)]
-    total = prod(sizes)
-    if total > MAX_UNIFORM_CELLS:
-        raise ValueError(f"refinement to {total} cells exceeds the {MAX_UNIFORM_CELLS} cap")
+    sizes = uniform_sizes(cfg, rank_vec)
     strides = [1] * len(sizes)
     for j in range(len(sizes) - 2, -1, -1):
         strides[j] = strides[j + 1] * sizes[j + 1]
-    out = [None] * total
+    out = [None] * prod(sizes)
     for cell, value in zip(sf.cells, sf.values):
         spans = []
         for j, (k, n) in enumerate(zip(cell.ranks, cell.indices)):
@@ -181,32 +196,45 @@ def _expand(sf: StepFunction, rank_vec: tuple[int, ...]) -> list:
                 raise ValueError(f"cell rank {k} in dim {j} exceeds target rank {rank_vec[j]}")
             ratio = sizes[j] // cfg.seqs[j].modulus(k)
             spans.append(range(n * ratio, (n + 1) * ratio))
-        if sf.dim == 1:
-            lo, hi = spans[0].start, spans[0].stop
-            out[lo:hi] = [value] * (hi - lo)
-        else:
-            for combo in iter_product(*spans):
-                out[sum(i * s for i, s in zip(combo, strides))] = value
+        for combo in iter_product(*spans):
+            out[sum(i * s for i, s in zip(combo, strides))] = value
     return out
 
 
-def _merge_1d(f: StepFunction, g: StepFunction):
-    """Linear merge of two sorted 1-D partitions of the same region.
+def common_refinement(f: StepFunction, g: StepFunction):
+    """(cell, f_value, g_value) triples on the coarsest common refinement.
 
-    Yields (cell, f_value, g_value) triples on the coarsest common
-    refinement; output size is at most len(f) + len(g) - 1.
+    The cells are the nonempty intersections of a cell of f with a cell
+    of g, in canonical order; both partitions must tile the cube.
     """
-    cfg = f.cfg
-    seq = cfg.seqs[0]
+    if f.cfg != g.cfg:
+        raise ConfigMismatch("step functions live on different grids")
+    if f.cells == g.cells:
+        return list(zip(f.cells, f.values, g.values))
+    if f.dim == 1:
+        return _merge_1d(f, g)
+    pairs = []
+    if meeting_pairs(f.cfg, [0] * f.dim, list(zip(f.cells, f.values)),
+                     list(zip(g.cells, g.values)), pairs):
+        pairs = list({(id(a), id(b)): (a, av, b, bv) for a, av, b, bv in pairs}.values())
+    return sorted(((_meet(a, b), av, bv) for a, av, b, bv in pairs),
+                  key=lambda t: t[0].sort_key(f.cfg))
+
+
+def _merge_1d(f: StepFunction, g: StepFunction):
+    """The sweep's one-dimensional case: a linear merge of two sorted
+    partitions, on integer end positions; output size is at most
+    len(f) + len(g) - 1."""
+    widths = f.cfg.seqs[0].widths
     fa, fb = f.cells, g.cells
     i = j = 0
     out = []
     while i < len(fa) and j < len(fb):
         a, b = fa[i], fb[j]
-        finer = a if a.ranks[0] >= b.ranks[0] else b
-        out.append((finer, f.values[i], g.values[j]))
-        end_a = Fraction(a.indices[0] + 1, seq.modulus(a.ranks[0]))
-        end_b = Fraction(b.indices[0] + 1, seq.modulus(b.ranks[0]))
+        (ka,), (kb,) = a.ranks, b.ranks
+        out.append((a if ka >= kb else b, f.values[i], g.values[j]))
+        end_a = (a.indices[0] + 1) * widths[ka]
+        end_b = (b.indices[0] + 1) * widths[kb]
         if end_a <= end_b:
             i += 1
         if end_b <= end_a:
@@ -216,27 +244,16 @@ def _merge_1d(f: StepFunction, g: StepFunction):
     return out
 
 
-def common_refinement(f: StepFunction, g: StepFunction):
-    """(cell, f_value, g_value) triples on a common refinement.
-
-    1-D inputs stay sparse; higher dimensions are expanded onto the
-    per-dimension maximal-rank product grid.
-    """
-    if f.cfg != g.cfg:
-        raise ConfigMismatch("step functions live on different grids")
-    if f.cells == g.cells:
-        return list(zip(f.cells, f.values, g.values))
-    if f.dim == 1:
-        return _merge_1d(f, g)
-    ranks = tuple(
-        max(fr, gr) for fr, gr in zip(f.max_ranks(), g.max_ranks())
-    )
-    fv = _expand(f, ranks)
-    gv = _expand(g, ranks)
-    cfg = f.cfg
-    sizes = [cfg.seqs[j].modulus(k) for j, k in enumerate(ranks)]
-    cells = (Cell(ranks, combo) for combo in iter_product(*(range(s) for s in sizes)))
-    return [(c, a, b) for c, a, b in zip(cells, fv, gv)]
+def _meet(a: Cell, b: Cell) -> Cell:
+    """The intersection of two meeting cells: the finer interval in each
+    dimension (one of the two cells whenever it is finer throughout)."""
+    ranks = tuple(map(max, a.ranks, b.ranks))
+    if ranks == a.ranks:
+        return a
+    if ranks == b.ranks:
+        return b
+    return Cell(ranks, tuple(na if x >= y else nb for x, y, na, nb in
+                             zip(a.ranks, b.ranks, a.indices, b.indices)))
 
 
 def zip_with(f: StepFunction, g: StepFunction, fn) -> StepFunction:

@@ -20,15 +20,17 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import product as iter_product
 from math import isqrt, sqrt
+from operator import mul
 
 import numpy as np
 
 from .errors import ConfigMismatch, DepthExhausted
 from .grid import BranchSeq, Cell, GridConfig, PointCode
 from .parallel import tree_sum
-from .stepfn import StepFunction, common_refinement
+from .stepfn import StepFunction, common_refinement, uniform_sizes
 
 _HALF = Fraction(1, 2)
 
@@ -65,6 +67,12 @@ class UnitValue:
 
     def conjugate(self) -> "UnitValue":
         return UnitValue(self.radicand, -self.phase)
+
+    def times(self, coeff):
+        """coeff * self as a number, exactly when both sides are exact."""
+        if isinstance(coeff, UnitValue):
+            return (coeff * self).as_number()
+        return coeff * self.as_number()
 
     def as_number(self):
         """Exact int/Fraction when the phase is 0 or 1/2 and the radicand
@@ -283,22 +291,63 @@ def haar_rank_vec(cfg: GridConfig, nvec) -> tuple[int, ...]:
     return tuple(out)
 
 
-def tensor_haar_step(cfg: GridConfig, nvec) -> StepFunction:
-    """chi_{n_1} x ... x chi_{n_d} as an exact step function.
+def add_haar_term(sf: StepFunction, nvec, coeff) -> StepFunction:
+    """sf + coeff * chi_{n_1} x ... x chi_{n_d}, refined only where the term lives.
 
-    Lives on the product grid whose dimension-j rank is k_j + 1 (0 for
-    n_j = 0); values are UnitValue products converted once.
+    Per dimension the term lives on one rank-k_j support cell (the whole
+    interval for n_j = 0), constant on its p_{k_j+1} children.  Cells of
+    sf missing the support keep their values untouched.  A cell meeting it
+    splits into its pieces on the children, which gain the term's value,
+    and a coarse zero complement: dimension by dimension, the siblings of
+    the path from the cell down to the support.
     """
+    cfg = sf.cfg
+    terms = []  # per dimension: support rank and index, rank of the pieces, their values
+    for j, n in enumerate(nvec):
+        seq = cfg.seqs[j]
+        if n == 0:
+            terms.append((0, 0, 0, [UnitValue.ONE]))
+            continue
+        k, r, _ = haar_decode(seq, n)
+        p = seq.factor(k + 1)
+        terms.append((k, r, k + 1, [gen_haar_on_cell(seq, n, k + 1, r * p + x) for x in range(p)]))
+    support = Cell(tuple(t[0] for t in terms), tuple(t[1] for t in terms))
+    out = []
+    for cell, value in zip(sf.cells, sf.values):
+        if cell.intersect(cfg, support) is None:
+            out.append((cell, value))
+            continue
+        spans = list(zip(cell.ranks, cell.indices))
+        pieces = []  # per dimension: (rank, index, UnitValue) pieces on the support
+        for j, (k, r, kid_rank, kids) in enumerate(terms):
+            seq = cfg.seqs[j]
+            t = spans[j][0]
+            for rank in range(t, k):
+                node, step = (r // (seq.modulus(k) // seq.modulus(q)) for q in (rank, rank + 1))
+                p = seq.factor(rank + 1)
+                for sibling in range(node * p, node * p + p):
+                    if sibling != step:
+                        spans[j] = (rank + 1, sibling)
+                        out.append((Cell(*zip(*spans)), value))
+            if t < kid_rank:
+                spans[j] = (k, r)
+                pieces.append([(kid_rank, r * len(kids) + x, uv) for x, uv in enumerate(kids)])
+            else:
+                digit = spans[j][1] // (seq.modulus(t) // seq.modulus(kid_rank)) % len(kids)
+                pieces.append([(*spans[j], kids[digit])])
+        for combo in iter_product(*pieces):
+            uv = reduce(mul, (c[2] for c in combo))
+            out.append((Cell(*zip(*(c[:2] for c in combo))), value + uv.times(coeff)))
+    return StepFunction.from_pieces(cfg, out)
+
+
+def tensor_haar_step(cfg: GridConfig, nvec) -> StepFunction:
+    """chi_{n_1} x ... x chi_{n_d} as an exact, sparse step function: the
+    support's children plus sum_{t<=k_j} (p_t - 1) zero cells per dimension."""
     nvec = tuple(nvec)
     if len(nvec) != cfg.dim:
         raise ConfigMismatch(f"index has {len(nvec)} entries, grid has {cfg.dim} dims")
-    ranks = haar_rank_vec(cfg, nvec)
-    per_dim = [
-        [gen_haar_on_cell(cfg.seqs[j], nvec[j], ranks[j], i)
-         for i in range(cfg.seqs[j].modulus(ranks[j]))]
-        for j in range(cfg.dim)
-    ]
-    return _tensor_step(cfg, ranks, per_dim)
+    return add_haar_term(StepFunction.constant(cfg, 0), nvec, UnitValue.ONE)
 
 
 def price_rank_vec(cfg: GridConfig, kvec) -> tuple[int, ...]:
@@ -306,35 +355,19 @@ def price_rank_vec(cfg: GridConfig, kvec) -> tuple[int, ...]:
 
 
 def tensor_price_step(cfg: GridConfig, kvec) -> StepFunction:
-    """psi_{k_1} x ... x psi_{k_d} as an exact step function."""
+    """psi_{k_1} x ... x psi_{k_d} as an exact step function: dense, since
+    it is nowhere zero, and refused before it is built beyond the cell cap."""
     kvec = tuple(kvec)
     if len(kvec) != cfg.dim:
         raise ConfigMismatch(f"index has {len(kvec)} entries, grid has {cfg.dim} dims")
     ranks = price_rank_vec(cfg, kvec)
+    sizes = uniform_sizes(cfg, ranks)
     per_dim = [
-        [price_on_cell(cfg.seqs[j], kvec[j], ranks[j], i)
-         for i in range(cfg.seqs[j].modulus(ranks[j]))]
+        [price_on_cell(cfg.seqs[j], kvec[j], ranks[j], i) for i in range(sizes[j])]
         for j in range(cfg.dim)
     ]
-    return _tensor_step(cfg, ranks, per_dim)
-
-
-def _tensor_step(cfg: GridConfig, ranks, per_dim) -> StepFunction:
-    values = []
-    for combo in _lex_products(per_dim):
-        values.append(combo.as_number())
+    values = [reduce(mul, uvs).as_number() for uvs in iter_product(*per_dim)]
     return StepFunction.on_grid(cfg, ranks, values)
-
-
-def _lex_products(per_dim):
-    if len(per_dim) == 1:
-        yield from per_dim[0]
-        return
-    for uvs in iter_product(*per_dim):
-        total = uvs[0]
-        for uv in uvs[1:]:
-            total = total * uv
-        yield total
 
 
 def _conj(v):

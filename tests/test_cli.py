@@ -1,6 +1,9 @@
+import hashlib
 import json
 import subprocess
 import sys
+
+import pytest
 
 from padicah.cli import main
 
@@ -360,3 +363,63 @@ def test_tolerance_flag_recorded(tmp_path):
     )
     assert rc == 0
     assert json.loads(out.read_text())["tol"] == 1e-4
+
+
+def test_family_member_covering_half_the_cube_is_refused(tmp_path, capsys):
+    grid = {"dims": 2, "seqs": [[2, 2], [2, 2]], "depth": 2}
+    family = _write(tmp_path / "f.json", {
+        "bound_c": ["1", "1"],
+        "grid": grid,
+        "members": [{"cells": [{"ranks": [1, 0], "indices": [0, 0]}], "values": [["2", "1"]]}],
+        "schema_version": 1,
+    })
+    series = _write(tmp_path / "s.json", {"mode": "haar", "grid": grid, "entries": [[[0, 0], 1, 0]]})
+    for argv in (["check-family", "--family", family],
+                 ["recover", "--mode", "additive", "--series", series, "--family", family]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: members[0].cells:") and "measures sum to 1/2" in err
+
+
+def test_family_member_with_overlapping_cells_is_refused(tmp_path, capsys):
+    doc = _family_doc(depth=2, count=1)
+    doc["members"][0] = {
+        "cells": [{"ranks": [0], "indices": [0]}, {"ranks": [2], "indices": [2]}],
+        "values": [["2", "1"], ["3", "1"]],
+    }
+    rc = main(["check-family", "--family", _write(tmp_path / "f.json", doc)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: members[0].cells:")
+
+
+def test_systems_price_checks_the_cap_before_building(tmp_path, capsys):
+    grid = _write(tmp_path / "g.json", _grid_doc(30))
+    rc = main(["systems", "--grid", grid, "--price", "536870911"])
+    assert rc == 1
+    assert "exceeds the 4194304 cap" in capsys.readouterr().err
+
+
+def test_systems_haar_lists_the_sparse_partition(tmp_path):
+    grid = _write(tmp_path / "g.json", _grid_doc(30))
+    out = tmp_path / "sys.json"
+    assert main(["systems", "--grid", grid, "--haar", "536870911", "--out", str(out)]) == 0
+    table = json.loads(out.read_text())["tables"][0]
+    # chi_n with n = 2**29 - 1 lives at rank k = 28: one zero sibling per
+    # level above the support, then the p_{k+1} = 2 children
+    assert len(table["cells"]) == 28 * (2 - 1) + 2
+    assert table["cells"][-2:] == [
+        {"indices": [2 ** 29 - 2], "ranks": [29]},
+        {"indices": [2 ** 29 - 1], "ranks": [29]},
+    ]
+
+
+@pytest.mark.parametrize("fmt, digest", [
+    ("json", "b16e02c12300b1b8861b7b69569f5f741781d92726cb771008495684af919df2"),
+    ("csv", "0dd1e2e29dc0544fbcf5efd57defa02a18991850664e79bde03f1320ece8fbda"),
+])
+def test_systems_gamma_block_bytes_are_frozen(tmp_path, fmt, digest):
+    grid = _write(tmp_path / "g.json", {"dims": 1, "seqs": [[3, 3, 3, 3]], "depth": 4})
+    out = tmp_path / f"gb.{fmt}"
+    rc = main(["systems", "--grid", grid, "--gamma-block", "4", "--format", fmt, "--out", str(out)])
+    assert rc == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

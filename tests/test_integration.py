@@ -329,3 +329,12 @@ def test_family_json_diagnostics():
                 ],
             }
         )
+
+
+def test_family_partition_must_tile_the_cube():
+    doc = family_to_json_dict(_const_family(_dyadic(2)))
+    doc["members"][0]["partition"] = [{"ranks": [1], "indices": [0]}]
+    with pytest.raises(ValueError, match=r"members\[0\]\.partition: partition measures sum to 1/2"):
+        family_from_json_dict(doc)
+    doc["members"][0]["partition"] = [{"ranks": [1], "indices": [1]}, {"ranks": [1], "indices": [0]}]
+    assert family_from_json_dict(doc).partitions[0] == (Cell((1,), (0,)), Cell((1,), (1,)))

@@ -27,6 +27,7 @@ from padicah import (
     stabilized_sum,
 )
 from padicah.systems import block_of_index
+from strategies import haar_series
 
 
 def _eval_at(coeffs, digit_rows, N=None):
@@ -367,3 +368,31 @@ def test_unit_value_coefficients_supported():
     af = AdditiveFn.from_series(cm)
     # coefficient is exactly -2, chi_1 is +1 on [0, 1/2)
     assert af.value_on(Cell((1,), (0,))) == -1
+
+
+def _close(a, b):
+    return len(a) == len(b) and all(abs(complex(x) - complex(y)) < 1e-12 for x, y in zip(a, b))
+
+
+@settings(max_examples=60)
+@given(haar_series())
+def test_banded_sum_and_majorant_match_dense_partial_sums(coeffs):
+    cfg, r = coeffs.cfg, coeffs.stabilization_rank
+    full = (cfg.seqs[0].depth,) * cfg.dim
+    dense = [partial_sum(coeffs, k).uniform_values(full) for k in range(r + 1)]
+    banded = stabilized_sum(coeffs)
+    assert _close(banded.uniform_values(full), dense[-1])
+    if all(isinstance(v, (int, Fraction)) for v in dense[-1]):  # exact: order-free sums
+        assert banded.uniform_values(full) == dense[-1]
+    running_max = [max(abs(complex(s[i])) for s in dense) for i in range(len(dense[0]))]
+    assert _close(series_majorant(coeffs).uniform_values(full), running_max)
+
+
+def test_banded_sum_leaves_cells_off_the_support_untouched():
+    """A zero that no term reaches stays the integer 0, never 0j."""
+    cfg = GridConfig.from_lists([[2, 2], [3, 3]])
+    coeffs = CoeffMap(cfg, {(2, 0): complex(1, 1)}, "haar")  # lives on the left half
+    banded = stabilized_sum(coeffs)
+    right = [v for c, v in zip(banded.cells, banded.values) if c.start(cfg, 0) >= Fraction(1, 2)]
+    assert right and all(type(v) is int and v == 0 for v in right)
+    assert banded.uniform_values((2, 2)) == partial_sum(coeffs, 2).uniform_values((2, 2))

@@ -2,9 +2,14 @@ import cmath
 import math
 import random
 from fractions import Fraction
+from functools import reduce
+from itertools import product
+from operator import mul
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padicah import (
     BranchSeq,
@@ -26,6 +31,8 @@ from padicah import (
     tensor_haar_step,
     tensor_price_step,
 )
+from padicah.systems import gen_haar_on_cell
+from strategies import grids, haar_indices
 
 
 def test_unit_value_product():
@@ -270,3 +277,26 @@ def test_haar_encode_rejects_bad_args():
         haar_encode(seq, 0, 0, 0)  # s must be a nonzero residue
     with pytest.raises(ValueError):
         haar_encode(seq, 0, 1, 1)  # r outside [0, m_k)
+
+
+@settings(max_examples=80)
+@given(st.data())
+def test_sparse_haar_step_matches_the_cell_evaluator(data):
+    cfg = data.draw(grids())
+    nvec = data.draw(haar_indices(cfg))
+    step = tensor_haar_step(cfg, nvec)
+    ranks = tuple(seq.depth for seq in cfg.seqs)
+    want = [
+        reduce(mul, (gen_haar_on_cell(seq, n, k, i) for seq, n, k, i in
+                     zip(cfg.seqs, nvec, ranks, idx))).as_number()
+        for idx in product(*(range(seq.modulus(seq.depth)) for seq in cfg.seqs))
+    ]
+    assert step.uniform_values(ranks) == want
+    # per dimension: sum_{t<=k}(p_t - 1) zero cells and p_{k+1} children
+    zeros, children = 0, 1
+    for seq, n in zip(cfg.seqs, nvec):
+        if n:
+            k = haar_decode(seq, n)[0]
+            zeros += sum(p - 1 for p in seq.p[:k])
+            children *= seq.factor(k + 1)
+    assert len(step.cells) == zeros + children
