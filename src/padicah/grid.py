@@ -128,12 +128,14 @@ class GridConfig:
                     raise ValueError(f"seqs[{i}][{k}]: branching factor must be an integer >= 2, got {v!r}")
             built.append(BranchSeq(tuple(raw)))
         cfg = cls(tuple(built))
-        dims = data.get("dims")
-        if dims is not None and dims != cfg.dim:
-            raise ValueError(f"dims field says {dims} but seqs has {cfg.dim} dimensions")
-        depth = data.get("depth")
-        if depth is not None and depth != cfg.min_depth:
-            raise ValueError(f"depth field says {depth} but sequences give {cfg.min_depth}")
+        for name, want in (("dims", cfg.dim), ("depth", cfg.min_depth)):
+            got = data.get(name)
+            if got is None:
+                continue
+            if not isinstance(got, int) or isinstance(got, bool):
+                raise ValueError(f"grid config field {name!r} must be an integer, got {got!r}")
+            if got != want:
+                raise ValueError(f"{name} field says {got} but seqs give {want}")
         return cfg
 
 
@@ -198,27 +200,21 @@ class Cell:
         return True
 
     def intersect(self, cfg: GridConfig, other: "Cell"):
-        """Intersection cell, or None when disjoint.
+        """Intersection cell, or None when disjoint; both cells must be
+        valid on `cfg`.
 
         Per dimension two intervals of one sequence are nested or disjoint,
         so the intersection is the finer interval whenever prefixes match.
         """
         ranks, indices = [], []
-        for j in range(self.dim):
-            ka, na = self.ranks[j], self.indices[j]
-            kb, nb = other.ranks[j], other.indices[j]
+        for seq, ka, na, kb, nb in zip(cfg.seqs, self.ranks, self.indices,
+                                       other.ranks, other.indices):
             if ka < kb:
-                ratio = cfg.seqs[j].modulus(kb) // cfg.seqs[j].modulus(ka)
-                if nb // ratio != na:
-                    return None
-                ranks.append(kb)
-                indices.append(nb)
-            else:
-                ratio = cfg.seqs[j].modulus(ka) // cfg.seqs[j].modulus(kb)
-                if na // ratio != nb:
-                    return None
-                ranks.append(ka)
-                indices.append(na)
+                ka, na, kb, nb = kb, nb, ka, na
+            if na // (seq.moduli[ka] // seq.moduli[kb]) != nb:
+                return None
+            ranks.append(ka)
+            indices.append(na)
         return Cell(tuple(ranks), tuple(indices))
 
 

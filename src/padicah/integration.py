@@ -29,6 +29,7 @@ from .parallel import parallel_map, tree_sum
 from .reports import SCHEMA_VERSION, cell_json, encode_value, encode_values, rational_pair
 from .stepfn import (
     StepFunction,
+    box_measures,
     common_refinement,
     is_exact,
     leq_exact_or_float,
@@ -74,36 +75,29 @@ def tail_with_ties(g: StepFunction, h: StepFunction, alpha=1, strict: bool = Tru
                    box: Cell | None = None):
     """(tail integral, measure of exact ties {g = alpha*h}) in one pass."""
     _require_cutoff_values(h)
-    cfg = g.cfg
-    box = box if box is not None else full_cube(cfg.dim)
-    box.validate(cfg)
+    triples = common_refinement(g, h)
     terms = []
     ties = Fraction(0)
-    for cell, gv, hv in common_refinement(g, h):
-        hit = cell.intersect(cfg, box)
-        if hit is None:
+    for (_, gv, hv), mu in zip(triples, box_measures(g.cfg, [c for c, _, _ in triples], box)):
+        if mu is None:
             continue
         bound = alpha * hv
         if (not leq_exact_or_float(gv, bound)) if strict else leq_exact_or_float(bound, gv):
-            terms.append(hv * hit.measure(cfg))
+            terms.append(hv * mu)
         if is_exact(gv) and is_exact(bound) and gv == bound:
-            ties += hit.measure(cfg)
+            ties += mu
     return tree_sum(terms, zero=Fraction(0)), ties
 
 
 def level_measure(g: StepFunction, level, strict: bool = True,
                   box: Cell | None = None) -> Fraction:
     """mu{x in box : g(x) > level} (or >=), exact."""
-    cfg = g.cfg
-    box = box if box is not None else full_cube(cfg.dim)
-    box.validate(cfg)
     total = Fraction(0)
-    for cell, gv in zip(g.cells, g.values):
-        hit = cell.intersect(cfg, box)
-        if hit is None:
+    for gv, mu in zip(g.values, box_measures(g.cfg, g.cells, box)):
+        if mu is None:
             continue
         if (not leq_exact_or_float(gv, level)) if strict else leq_exact_or_float(level, gv):
-            total += hit.measure(cfg)
+            total += mu
     return total
 
 
@@ -194,7 +188,10 @@ def check_family(fam: HFamily) -> FamilyCheckReport:
 
     Reports the minimal usable oscillation constant, the per-cell infima
     lambda^m_k, eps0 = inf_m,k lambda^m_k * mu(I^m_k), and the smallest
-    per-cell integral (whose positivity is (h3))."""
+    per-cell integral (whose positivity is (h3)).  Each member meets its
+    partition in one refinement sweep, against the step function that
+    labels every partition cell with its position; the pieces give each
+    cell its member values and its integral."""
     cfg = fam.cfg
     monotone_ok = True
     for a, b in zip(fam.members, fam.members[1:]):
@@ -210,17 +207,15 @@ def check_family(fam: HFamily) -> FamilyCheckReport:
     eps0 = None
     lambda_table = []
     for h, partition in zip(fam.members, fam.partitions):
+        labels = StepFunction.from_pieces(cfg, zip(partition, range(len(partition))))
+        triples = common_refinement(h, labels)
+        values = [[] for _ in partition]
+        terms = [[] for _ in partition]
+        for (_, v, i), mu in zip(triples, box_measures(cfg, [c for c, _, _ in triples])):
+            values[i].append(v)
+            terms[i].append(v * mu)
         row = []
-        own = partition == h.cells
-        for i, pcell in enumerate(partition):
-            if own:
-                vals = [h.values[i]]
-            else:
-                vals = [
-                    v for c, v in zip(h.cells, h.values) if c.intersect(cfg, pcell) is not None
-                ]
-            if not vals:
-                raise ValueError(f"partition cell {pcell} misses the member's support")
+        for pcell, vals, cell_terms in zip(partition, values, terms):
             sup, inf = max(vals), min(vals)
             if inf == 0:
                 if sup != 0:
@@ -229,7 +224,7 @@ def check_family(fam: HFamily) -> FamilyCheckReport:
                 ratio = Fraction(sup, inf) if is_exact(sup) and is_exact(inf) else sup / inf
                 if not leq_exact_or_float(ratio, c_min):
                     c_min = ratio
-            cell_integral = h.integral(pcell)
+            cell_integral = tree_sum(cell_terms, zero=Fraction(0))
             weighted = inf * pcell.measure(cfg)
             row.append(inf)
             if min_integral is None or not leq_exact_or_float(min_integral, cell_integral):

@@ -30,7 +30,7 @@ from .series import (
     price_coeffs_from_haar,
 )
 from .stepfn import StepFunction, leq_exact_or_float
-from .systems import haar_decode, inner_product, tensor_haar_step, tensor_price_step
+from .systems import haar_sup_sq, inner_product, tensor_haar_step, tensor_price_step
 
 
 def _final_error(estimates, reference) -> float:
@@ -169,15 +169,10 @@ def recover_haar_coeff(f: StepFunction, nvec, fam: HFamily, reference=None,
     integer c^2 (the product of the per-dimension support moduli).  With
     no explicit `reference` the plain inner product <f, chi_n> is used.
     """
-    cfg = f.cfg
     nvec = tuple(nvec)
-    scale_sq = 1
-    for j, n in enumerate(nvec):
-        if n > 0:
-            k, _, _ = haar_decode(cfg.seqs[j], n)
-            scale_sq *= cfg.seqs[j].modulus(k)
-    basis = tensor_haar_step(cfg, nvec)
-    return _recover_coeff(f, fam, basis, scale_sq, "haar", nvec, reference, tol, threads)
+    basis = tensor_haar_step(f.cfg, nvec)
+    return _recover_coeff(f, fam, basis, haar_sup_sq(f.cfg, nvec), "haar", nvec,
+                          reference, tol, threads)
 
 
 def recover_price_coeff(f: StepFunction, kvec, fam: HFamily, reference=None,

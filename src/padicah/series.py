@@ -3,17 +3,17 @@
 A CoeffMap assigns coefficients to multi-indices of the generalized Haar
 system (mode "haar") or the Price system (mode "price") over one grid.
 Partial sums stabilize once the cutoff rank reaches the map's
-stabilization rank R, so every integral over a cell is a finite exact
-computation; the induced additive function on cells is
+stabilization rank R, so the stabilized sum S_R is a finite step
+function, the density of the induced additive function on cells:
 
-    Psi(I) = integral over I of S_N,   for any N >= max(R, rank(I)),
+    Psi(I) = integral over I of S_N = integral over I of S_R,
+             for any N >= max(R, rank(I)),
 
-evaluated here entry by entry: the dimension-j factor of one term is zero
-when the cell is no finer than the term's rank (the full character sum
-cancels), and value * measure otherwise.  Coefficients may be UnitValue
-objects, in which case products with system values stay exact until the
-final conversion; this is what keeps integer-valued series (values up to
-the 2**52 guard) exactly representable.
+evaluated as one exact step-function integral over the (possibly
+mixed-rank) box.  Coefficients may be UnitValue objects, in which case
+products with system values stay exact until the final conversion; this
+is what keeps integer-valued series (values up to the 2**52 guard)
+exactly representable.
 """
 from __future__ import annotations
 
@@ -25,8 +25,7 @@ from math import isfinite, isqrt, prod
 import numpy as np
 
 from .errors import ConfigMismatch, ValueGuardError
-from .grid import Cell, GridConfig, decompose_box
-from .parallel import tree_sum
+from .grid import Cell, GridConfig
 from .stepfn import StepFunction, pointwise_max, uniform_sizes, value_abs
 from .systems import (
     UnitValue,
@@ -34,11 +33,9 @@ from .systems import (
     block_of_index,
     block_range,
     gen_haar_on_cell,
-    haar_decode,
-    haar_rank_vec,
+    haar_sup_sq,
     price_haar_matrix,
     price_on_cell,
-    price_rank_vec,
 )
 
 VALUE_GUARD = 2 ** 52
@@ -46,12 +43,10 @@ VALUE_GUARD = 2 ** 52
 MODES = ("haar", "price")
 
 
-_RANK_VEC = {"haar": haar_rank_vec, "price": price_rank_vec}
-
-
-def _index_block(cfg: GridConfig, mode: str, nvec) -> int:
-    """Stabilization rank of one multi-index: max per-dimension constancy rank."""
-    return max(_RANK_VEC[mode](cfg, nvec))
+def _index_block(cfg: GridConfig, nvec) -> int:
+    """Stabilization rank of one multi-index: the largest per-dimension
+    block, which is where a term of either system becomes constant."""
+    return max(block_of_index(seq, n) for seq, n in zip(cfg.seqs, nvec))
 
 
 def _coeff_magnitude_bound(value) -> int:
@@ -79,7 +74,7 @@ class CoeffMap:
                 raise ConfigMismatch(
                     f"index {nvec} has {len(nvec)} entries, grid has {cfg.dim} dims"
                 )
-            _index_block(cfg, mode, nvec)  # validates each index against the depth
+            _index_block(cfg, nvec)  # validates each index against the depth
             cleaned[nvec] = value
         self._entries = dict(sorted(cleaned.items()))
         self._check_guard()
@@ -96,10 +91,7 @@ class CoeffMap:
             mag = _coeff_magnitude_bound(value)
             if mag is None:
                 return
-            sup_sq = 1
-            for j, n in enumerate(nvec):
-                if self.mode == "haar" and n >= 1:
-                    sup_sq *= self.cfg.seqs[j].modulus(haar_decode(self.cfg.seqs[j], n)[0])
+            sup_sq = haar_sup_sq(self.cfg, nvec) if self.mode == "haar" else 1
             total += mag * (isqrt(sup_sq) + 1)
         if total > VALUE_GUARD:
             raise ValueGuardError(
@@ -123,7 +115,7 @@ class CoeffMap:
         """Smallest N such that the partial sum S_N contains every term."""
         if not self._entries:
             return 0
-        return max(_index_block(self.cfg, self.mode, nvec) for nvec in self._entries)
+        return max(_index_block(self.cfg, nvec) for nvec in self._entries)
 
     def __eq__(self, other):
         return (
@@ -135,12 +127,6 @@ class CoeffMap:
 
     def __repr__(self):
         return f"CoeffMap(mode={self.mode!r}, {len(self._entries)} entries)"
-
-
-def _on_cell(cfg: GridConfig, mode: str, j: int, n: int, rank: int, index: int) -> UnitValue:
-    if mode == "haar":
-        return gen_haar_on_cell(cfg.seqs[j], n, rank, index)
-    return price_on_cell(cfg.seqs[j], n, rank, index)
 
 
 def partial_sum(coeffs: CoeffMap, N: int) -> StepFunction:
@@ -156,14 +142,15 @@ def partial_sum(coeffs: CoeffMap, N: int) -> StepFunction:
     for j in range(cfg.dim - 2, -1, -1):
         strides[j] = strides[j + 1] * sizes[j + 1]
     vals = [0] * prod(sizes)
+    on_cell = gen_haar_on_cell if coeffs.mode == "haar" else price_on_cell
     for nvec, coeff in coeffs.items():
-        if _index_block(cfg, coeffs.mode, nvec) > N:
+        if _index_block(cfg, nvec) > N:
             continue
         per_dim = []
         for j, n in enumerate(nvec):
             col = []
             for i in range(sizes[j]):
-                uv = _on_cell(cfg, coeffs.mode, j, n, N, i)
+                uv = on_cell(cfg.seqs[j], n, N, i)
                 if not uv.is_zero:
                     col.append((i, uv))
             per_dim.append(col)
@@ -186,7 +173,7 @@ def _haar_bands(coeffs: CoeffMap):
     cfg = coeffs.cfg
     bands = {}
     for nvec, coeff in coeffs.items():
-        bands.setdefault(_index_block(cfg, "haar", nvec), []).append((nvec, coeff))
+        bands.setdefault(_index_block(cfg, nvec), []).append((nvec, coeff))
     current = StepFunction.constant(cfg, 0)
     for k in range(coeffs.stabilization_rank + 1):
         for nvec, coeff in bands.get(k, ()):
@@ -248,41 +235,10 @@ class AdditiveFn:
             return self.coeffs.stabilization_rank
         return max(self._density.max_ranks())
 
-    def _entry_integral(self, nvec, coeff, box: Cell):
-        """Exact integral of one term over a (possibly mixed-rank) cell."""
-        cfg = self.cfg
-        uv_total = UnitValue.ONE
-        mu = Fraction(1)
-        mode = self.coeffs.mode
-        rank_needed = _RANK_VEC[mode](cfg, nvec)
-        for j, n in enumerate(nvec):
-            t, idx = box.ranks[j], box.indices[j]
-            if n != 0:
-                if t < rank_needed[j]:
-                    return 0  # the full character sum over the support cancels
-                uv = _on_cell(cfg, mode, j, n, t, idx)
-                if uv.is_zero:
-                    return 0
-                uv_total = uv_total * uv
-            mu /= cfg.seqs[j].modulus(t)
-        return uv_total.times(coeff) * mu
-
     def value_on(self, box: Cell):
-        """Psi(box): the stabilized integral of the series over the box.
-
-        Uniform boxes are evaluated directly; mixed-rank boxes are summed
-        over their uniform decomposition.
-        """
-        box.validate(self.cfg)
-        if self._density is not None:
-            return self._density.integral(box)
-        if box.uniform_rank is None:
-            parts = decompose_box(self.cfg, box)
-            return tree_sum([self.value_on(part) for part in parts], zero=Fraction(0))
-        terms = [
-            self._entry_integral(nvec, coeff, box) for nvec, coeff in self.coeffs.items()
-        ]
-        return tree_sum(terms, zero=Fraction(0))
+        """Psi(box): the integral of the density Psi' = S_R over the box,
+        which may be any mixed-rank cell."""
+        return self.derivative().integral(box)
 
     def derivative(self) -> StepFunction:
         """The rank-R density: Psi(I)/mu(I) on rank-R cells, as a step function."""

@@ -160,26 +160,30 @@ class StepFunction:
         return self.map_values(lambda v: c * v)
 
     def integral(self, box: Cell | None = None):
-        """Exact integral over `box` (default: the whole cube).
-
-        Cells are intersected with the box individually, so the box may be
-        any mixed-rank cell; no refinement pass is needed.
-        """
-        cfg = self.cfg
-        if box is None:
-            terms = [v * c.measure(cfg) for c, v in zip(self.cells, self.values)]
-        else:
-            box.validate(cfg)
-            terms = []
-            for c, v in zip(self.cells, self.values):
-                hit = c.intersect(cfg, box)
-                if hit is not None:
-                    terms.append(v * hit.measure(cfg))
+        """Exact integral over `box` (default: the whole cube), which may be
+        any mixed-rank cell; no refinement pass is needed."""
+        measures = box_measures(self.cfg, self.cells, box)
+        terms = [v * mu for v, mu in zip(self.values, measures) if mu is not None]
         return tree_sum(terms, zero=Fraction(0))
 
     def uniform_values(self, rank_vec) -> list:
         """Flat value list on the per-dimension uniform grid `rank_vec`."""
         return _expand(self, tuple(rank_vec))
+
+
+def box_measures(cfg: GridConfig, cells, box: Cell | None = None) -> list:
+    """Each cell's measure inside `box` (default: the whole cube), or None
+    where the cell misses the box.
+
+    Cells are intersected with the box one by one; a box of rank 0 in
+    every dimension is the whole cube and needs no intersection.
+    """
+    if box is not None:
+        box.validate(cfg)
+        if any(box.ranks):
+            hits = (c.intersect(cfg, box) for c in cells)
+            return [None if hit is None else hit.measure(cfg) for hit in hits]
+    return [c.measure(cfg) for c in cells]
 
 
 def _expand(sf: StepFunction, rank_vec: tuple[int, ...]) -> list:

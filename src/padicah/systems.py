@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import product as iter_product
-from math import isqrt, sqrt
+from math import isqrt, prod, sqrt
 from operator import mul
 
 import numpy as np
@@ -30,7 +30,7 @@ import numpy as np
 from .errors import ConfigMismatch, DepthExhausted
 from .grid import BranchSeq, Cell, GridConfig, PointCode
 from .parallel import tree_sum
-from .stepfn import StepFunction, common_refinement, uniform_sizes
+from .stepfn import MAX_UNIFORM_CELLS, StepFunction, box_measures, common_refinement, uniform_sizes
 
 _HALF = Fraction(1, 2)
 
@@ -283,12 +283,10 @@ def price_on_cell(seq: BranchSeq, k: int, rank: int, index: int) -> UnitValue:
 # tensor step functions and inner products
 
 
-def haar_rank_vec(cfg: GridConfig, nvec) -> tuple[int, ...]:
-    """Per-dimension constancy ranks (k_j + 1, or 0 for the constant)."""
-    out = []
-    for j, n in enumerate(nvec):
-        out.append(0 if n == 0 else haar_decode(cfg.seqs[j], n)[0] + 1)
-    return tuple(out)
+def haar_sup_sq(cfg: GridConfig, nvec) -> int:
+    """||chi_{n_1} x ... x chi_{n_d}||_inf^2 = prod of m_{t_j - 1} over the
+    dimensions with n_j >= 1, where t_j is the block of n_j."""
+    return prod(seq.modulus(block_of_index(seq, n) - 1) for seq, n in zip(cfg.seqs, nvec) if n)
 
 
 def add_haar_term(sf: StepFunction, nvec, coeff) -> StepFunction:
@@ -302,13 +300,21 @@ def add_haar_term(sf: StepFunction, nvec, coeff) -> StepFunction:
     the path from the cell down to the support.
     """
     cfg = sf.cfg
+    decoded = [None if n == 0 else haar_decode(seq, n) for seq, n in zip(cfg.seqs, nvec)]
+    # per dimension at most sum_{t<=k}(p_t - 1) zero siblings and p_{k+1} pieces
+    size = prod(1 if d is None else sum(seq.p[:d[0]]) - d[0] + seq.p[d[0]]
+                for seq, d in zip(cfg.seqs, decoded))
+    if size > MAX_UNIFORM_CELLS:
+        raise ValueError(
+            f"Haar term {tuple(nvec)} spans up to {size} cells, "
+            f"which exceeds the {MAX_UNIFORM_CELLS} cap"
+        )
     terms = []  # per dimension: support rank and index, rank of the pieces, their values
-    for j, n in enumerate(nvec):
-        seq = cfg.seqs[j]
-        if n == 0:
+    for seq, n, d in zip(cfg.seqs, nvec, decoded):
+        if d is None:
             terms.append((0, 0, 0, [UnitValue.ONE]))
             continue
-        k, r, _ = haar_decode(seq, n)
+        k, r, _ = d
         p = seq.factor(k + 1)
         terms.append((k, r, k + 1, [gen_haar_on_cell(seq, n, k + 1, r * p + x) for x in range(p)]))
     support = Cell(tuple(t[0] for t in terms), tuple(t[1] for t in terms))
@@ -350,17 +356,13 @@ def tensor_haar_step(cfg: GridConfig, nvec) -> StepFunction:
     return add_haar_term(StepFunction.constant(cfg, 0), nvec, UnitValue.ONE)
 
 
-def price_rank_vec(cfg: GridConfig, kvec) -> tuple[int, ...]:
-    return tuple(len(price_digits(cfg.seqs[j], k)) for j, k in enumerate(kvec))
-
-
 def tensor_price_step(cfg: GridConfig, kvec) -> StepFunction:
     """psi_{k_1} x ... x psi_{k_d} as an exact step function: dense, since
     it is nowhere zero, and refused before it is built beyond the cell cap."""
     kvec = tuple(kvec)
     if len(kvec) != cfg.dim:
         raise ConfigMismatch(f"index has {len(kvec)} entries, grid has {cfg.dim} dims")
-    ranks = price_rank_vec(cfg, kvec)
+    ranks = tuple(block_of_index(seq, k) for seq, k in zip(cfg.seqs, kvec))
     sizes = uniform_sizes(cfg, ranks)
     per_dim = [
         [price_on_cell(cfg.seqs[j], kvec[j], ranks[j], i) for i in range(sizes[j])]
@@ -376,15 +378,16 @@ def _conj(v):
 
 def inner_product(f: StepFunction, g: StepFunction):
     """<f, g> = integral of f * conj(g), summed over a fixed reduction tree."""
-    cfg = f.cfg
-    terms = [
-        a * _conj(b) * c.measure(cfg) for c, a, b in common_refinement(f, g)
-    ]
-    return tree_sum(terms, zero=0)
+    triples = common_refinement(f, g)
+    measures = box_measures(f.cfg, [c for c, _, _ in triples])
+    return tree_sum([a * _conj(b) * mu for (_, a, b), mu in zip(triples, measures)], zero=0)
 
 
 # ---------------------------------------------------------------------------
 # block change-of-basis matrices
+
+
+MAX_GAMMA_ENTRIES = 1 << 26  # 1 GiB of complex128
 
 
 def block_range(seq: BranchSeq, block_rank: int) -> range:
@@ -410,6 +413,12 @@ def price_haar_matrix(seq: BranchSeq, block_rank: int) -> np.ndarray:
         return np.ones((1, 1), dtype=complex)
     t = block_rank
     m, p = seq.modulus(t - 1), seq.factor(t)
+    side = (p - 1) * m
+    if side * side > MAX_GAMMA_ENTRIES:
+        raise ValueError(
+            f"gamma block {t} has side B = {side}: {side * side} entries "
+            f"exceed the {MAX_GAMMA_ENTRIES} cap"
+        )
     cells = np.arange(m)
     exponent = np.zeros((m, m), dtype=np.int64)
     for j in range(1, t):

@@ -1,7 +1,7 @@
 """Hypothesis strategies shared by the property tests."""
 from hypothesis import strategies as st
 
-from padicah import CoeffMap, GridConfig
+from padicah import CoeffMap, GridConfig, full_cube, refine_cell
 
 
 @st.composite
@@ -41,3 +41,14 @@ def haar_series(draw, max_cells=512):
         st.integers(-4, 4), st.builds(complex, st.floats(-2, 2), st.floats(-2, 2))
     )
     return CoeffMap(cfg, draw(st.dictionaries(haar_indices(cfg), value, min_size=1, max_size=4)))
+
+
+def split(draw, cfg, cell=None):
+    """A random tiling of `cell` (default: the cube) by repeated splits
+    along random dimensions; call from inside a composite strategy."""
+    cell = cell if cell is not None else full_cube(cfg.dim)
+    open_dims = [j for j in range(cfg.dim) if cell.ranks[j] < cfg.seqs[j].depth]
+    if not open_dims or draw(st.integers(0, 2)) == 0:
+        return [cell]
+    j = draw(st.sampled_from(open_dims))
+    return [c for child in refine_cell(cfg, cell, j) for c in split(draw, cfg, child)]

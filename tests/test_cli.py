@@ -2,6 +2,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -397,6 +398,44 @@ def test_systems_price_checks_the_cap_before_building(tmp_path, capsys):
     rc = main(["systems", "--grid", grid, "--price", "536870911"])
     assert rc == 1
     assert "exceeds the 4194304 cap" in capsys.readouterr().err
+
+
+def _one_error_line(capsys, started) -> str:
+    """The refusal's stderr, checked to be one ``error:`` line that came
+    back well before any table could have been built."""
+    assert time.perf_counter() - started < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+@pytest.mark.parametrize("p", [10 ** 30, 2 ** 23])
+def test_systems_haar_checks_the_cap_before_building(tmp_path, capsys, p):
+    grid = _write(tmp_path / "g.json", {"dims": 1, "seqs": [[p]], "depth": 1})
+    started = time.perf_counter()
+    assert main(["systems", "--grid", grid, "--haar", "1"]) == 1
+    assert "exceeds the 4194304 cap" in _one_error_line(capsys, started)
+
+
+@pytest.mark.parametrize("p", [100000, 10 ** 30])
+def test_systems_gamma_block_checks_the_cap_before_allocating(tmp_path, capsys, p):
+    grid = _write(tmp_path / "g.json", {"dims": 1, "seqs": [[p]], "depth": 1})
+    started = time.perf_counter()
+    assert main(["systems", "--grid", grid, "--gamma-block", "1"]) == 1
+    err = _one_error_line(capsys, started)
+    assert f"gamma block 1 has side B = {p - 1}" in err and "67108864 cap" in err
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("dims", "1"), ("depth", "2"), ("dims", True), ("depth", 2.0),
+])
+def test_grid_dims_and_depth_must_be_integers(tmp_path, capsys, field, bad):
+    doc = {"dims": 1, "seqs": [[2, 2]], "depth": 2, field: bad}
+    grid = _write(tmp_path / "g.json", doc)
+    started = time.perf_counter()
+    assert main(["systems", "--grid", grid, "--haar", "1"]) == 1
+    err = _one_error_line(capsys, started)
+    assert f"'{field}' must be an integer, got {bad!r}" in err
 
 
 def test_systems_haar_lists_the_sparse_partition(tmp_path):

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padicah import (
     Cell,
@@ -20,6 +22,7 @@ from padicah import (
     truncate,
     upgrade_family,
 )
+from strategies import grids, split
 
 
 def _dyadic(depth=8):
@@ -182,6 +185,52 @@ def test_check_family_oscillation_with_coarse_partition():
     )
     assert rep.oscillation_c == Fraction(3, 2)
     assert rep.eps0 == 2
+
+
+@st.composite
+def _families(draw):
+    """One to three members on random tilings, with random partitions
+    listed in random order."""
+    cfg = draw(grids(max_cells=128))
+    value = st.integers(0, 6).map(lambda n: Fraction(n, 2))
+    members, partitions = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        cells = split(draw, cfg)
+        values = draw(st.lists(value, min_size=len(cells), max_size=len(cells)))
+        members.append(StepFunction.from_pieces(cfg, zip(cells, values)))
+        partitions.append(draw(st.permutations(split(draw, cfg))))
+    return HFamily.from_members(members, partitions=partitions)
+
+
+def _family_oracle(fam):
+    """lambda table, oscillation constant, smallest cell integral and eps0
+    from every pairwise intersection of member cells with partition cells."""
+    cfg = fam.cfg
+    table, c, unbounded, integrals, weighted = [], Fraction(1), False, [], []
+    for h, partition in zip(fam.members, fam.partitions):
+        row = []
+        for pcell in partition:
+            hits = [(v, cell.intersect(cfg, pcell)) for cell, v in zip(h.cells, h.values)]
+            hits = [(v, meet) for v, meet in hits if meet is not None]
+            vals = [v for v, _ in hits]
+            sup, inf = max(vals), min(vals)
+            if inf == 0:
+                unbounded |= sup != 0
+            else:
+                c = max(c, sup / inf)
+            integrals.append(sum(v * meet.measure(cfg) for v, meet in hits))
+            weighted.append(inf * pcell.measure(cfg))
+            row.append(inf)
+        table.append(tuple(row))
+    return tuple(table), None if unbounded else c, min(integrals), min(weighted)
+
+
+@settings(max_examples=50)
+@given(_families())
+def test_check_family_matches_pairwise_intersections_property(fam):
+    rep = check_family(fam)
+    got = (rep.lambda_table, rep.oscillation_c, rep.min_cell_integral, rep.eps0)
+    assert got == _family_oracle(fam)
 
 
 def test_check_family_tiny_exact_member_passes():

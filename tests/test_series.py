@@ -388,6 +388,35 @@ def test_banded_sum_and_majorant_match_dense_partial_sums(coeffs):
     assert _close(series_majorant(coeffs).uniform_values(full), running_max)
 
 
+@st.composite
+def _series_and_boxes(draw):
+    """A Haar or Price map on a 1-D or 2-D grid, with mixed-rank boxes."""
+    coeffs = draw(haar_series(max_cells=256).filter(lambda c: c.cfg.dim <= 2))
+    coeffs = CoeffMap(coeffs.cfg, dict(coeffs.items()), draw(st.sampled_from(("haar", "price"))))
+    boxes = []
+    for _ in range(4):
+        ranks = [draw(st.integers(0, seq.depth)) for seq in coeffs.cfg.seqs]
+        boxes.append(Cell(ranks, [draw(st.integers(0, seq.modulus(k) - 1))
+                                  for seq, k in zip(coeffs.cfg.seqs, ranks)]))
+    return coeffs, boxes
+
+
+@settings(max_examples=60)
+@given(_series_and_boxes())
+def test_value_on_matches_the_dense_partial_sum_property(case):
+    """Psi(box) from the density against S_N on the uniform rank-N grid,
+    N = max(R, rank of the box), integrated over the box."""
+    coeffs, boxes = case
+    af = AdditiveFn.from_series(coeffs)
+    for box in boxes:
+        got = af.value_on(box)
+        want = partial_sum(coeffs, max(coeffs.stabilization_rank, *box.ranks)).integral(box)
+        if isinstance(got, (int, Fraction)) and isinstance(want, (int, Fraction)):
+            assert got == want
+        else:
+            assert abs(complex(got) - complex(want)) <= 1e-12
+
+
 def test_banded_sum_leaves_cells_off_the_support_untouched():
     """A zero that no term reaches stays the integer 0, never 0j."""
     cfg = GridConfig.from_lists([[2, 2], [3, 3]])

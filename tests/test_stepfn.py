@@ -10,25 +10,15 @@ from padicah import (
     GridConfig,
     StepFunction,
     common_refinement,
-    full_cube,
     refine_cell,
     validate_partition,
 )
-from strategies import grids
-
-
-def _split(draw, cfg, cell):
-    """A random tiling of `cell` by repeated splits along random dimensions."""
-    open_dims = [j for j in range(cfg.dim) if cell.ranks[j] < cfg.seqs[j].depth]
-    if not open_dims or draw(st.integers(0, 2)) == 0:
-        return [cell]
-    j = draw(st.sampled_from(open_dims))
-    return [c for child in refine_cell(cfg, cell, j) for c in _split(draw, cfg, child)]
+from strategies import grids, split
 
 
 @st.composite
 def step_functions(draw, cfg):
-    cells = _split(draw, cfg, full_cube(cfg.dim))
+    cells = split(draw, cfg)
     values = draw(st.lists(st.integers(-3, 3), min_size=len(cells), max_size=len(cells)))
     return StepFunction.from_pieces(cfg, zip(cells, values))
 
@@ -113,7 +103,7 @@ def cell_lists(draw):
     """A random tiling, possibly damaged: a cell dropped, doubled, or
     swapped for its parent or a child."""
     cfg = draw(grids(max_cells=128))
-    cells = _split(draw, cfg, full_cube(cfg.dim))
+    cells = split(draw, cfg)
     i = draw(st.integers(0, len(cells) - 1))
     damage = draw(st.sampled_from(("none", "drop", "double", "parent", "child")))
     c = cells[i]
