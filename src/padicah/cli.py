@@ -17,6 +17,7 @@ import csv
 import io
 import json
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 from .errors import ConfigMismatch
@@ -194,7 +195,7 @@ def cmd_systems(args) -> int:
 
 
 def cmd_recover(args) -> int:
-    from .integration import check_family, family_from_json_dict
+    from .integration import family_from_json_dict
     from .recovery import (
         gamma_path_reference,
         recover_additive,
@@ -222,7 +223,7 @@ def cmd_recover(args) -> int:
         if cfg != coeffs.cfg:
             raise ConfigMismatch("--grid disagrees with the series file")
     threads = resolve_threads(args.threads)
-    family_report = check_family(fam)
+    family_report = fam.report
 
     def as_value(coeff):
         return coeff.as_number() if isinstance(coeff, UnitValue) else coeff
@@ -371,7 +372,10 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     )
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, so every call to `main` can share it."""
     parser = argparse.ArgumentParser(
         prog="padicah",
         description="exact multiresolution grids, orthonormal systems, truncated integrals",

@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from .errors import WindowError
 from .grid import Cell, GridConfig, full_cube
-from .integration import FamilyCheckReport, HFamily, check_family, tail_integral
+from .integration import FamilyCheckReport, HFamily, tail_integral
 from .recovery import (
     AdditiveRecoveryReport,
     TailConditionReport,
@@ -366,7 +366,7 @@ def end_to_end(spec: ExampleSpec, threads: int = 1) -> EndToEndReport:
     tol = float(tail_bound(len(fam)))
     return EndToEndReport(
         n_max=spec.n_max,
-        family_report=check_family(fam),
+        family_report=fam.report,
         success=verify_ah_success(spec, af=af, fam=fam),
         failures=tuple(verify_lambda_failure(spec, j, af=af) for j in spec.j_values),
         tail_check=tail_condition_check(af, fam, tol=tol, threads=threads),

@@ -24,6 +24,8 @@ from math import prod
 
 from .errors import ConfigMismatch, DepthExhausted
 
+MAX_UNIFORM_CELLS = 1 << 22  # cap on the cells a uniform grid or a box split may list
+
 
 @dataclass(frozen=True)
 class BranchSeq:
@@ -262,7 +264,8 @@ def decompose_box(cfg: GridConfig, box: Cell) -> tuple[Cell, ...]:
 
     The output rank is ``K = max(box.ranks)``; each dimension j contributes
     the ``m_K / m_{k_j}`` rank-K children of its interval, and the partition
-    is their product, ordered lexicographically.
+    is their product, ordered lexicographically; a split into more than
+    MAX_UNIFORM_CELLS cells is refused before any is built.
     """
     box.validate(cfg)
     K = max(box.ranks)
@@ -270,6 +273,9 @@ def decompose_box(cfg: GridConfig, box: Cell) -> tuple[Cell, ...]:
     for j, (k, n) in enumerate(zip(box.ranks, box.indices)):
         ratio = cfg.seqs[j].modulus(K) // cfg.seqs[j].modulus(k)
         ranges.append(range(n * ratio, (n + 1) * ratio))
+    count = prod(len(r) for r in ranges)
+    if count > MAX_UNIFORM_CELLS:
+        raise ValueError(f"box splits into {count} rank-{K} cells, over the {MAX_UNIFORM_CELLS} cap")
     return tuple(
         Cell((K,) * cfg.dim, combo) for combo in iter_product(*ranges)
     )

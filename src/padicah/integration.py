@@ -21,20 +21,23 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import sqrt
 
 from .errors import ConfigMismatch
 from .grid import Cell, GridConfig, cell_from_json_dict, full_cube, validate_partition
-from .parallel import parallel_map, tree_sum
+from .parallel import parallel_map
 from .reports import SCHEMA_VERSION, cell_json, encode_value, encode_values, rational_pair
 from .stepfn import (
     StepFunction,
-    box_measures,
+    box_weights,
     common_refinement,
     is_exact,
     leq_exact_or_float,
     leq_with_guard,
     value_abs_sq,
+    weight_unit,
+    weighted_sum,
     zip_with,
 )
 
@@ -76,29 +79,33 @@ def tail_with_ties(g: StepFunction, h: StepFunction, alpha=1, strict: bool = Tru
     """(tail integral, measure of exact ties {g = alpha*h}) in one pass."""
     _require_cutoff_values(h)
     triples = common_refinement(g, h)
-    terms = []
-    ties = Fraction(0)
-    for (_, gv, hv), mu in zip(triples, box_measures(g.cfg, [c for c, _, _ in triples], box)):
-        if mu is None:
+    values, weights = [], []
+    ties = 0
+    for (_, gv, hv), w in zip(triples, box_weights(g.cfg, [c for c, _, _ in triples], box)):
+        if w is None:
             continue
         bound = alpha * hv
         if (not leq_exact_or_float(gv, bound)) if strict else leq_exact_or_float(bound, gv):
-            terms.append(hv * mu)
+            values.append(hv)
+            weights.append(w)
         if is_exact(gv) and is_exact(bound) and gv == bound:
-            ties += mu
-    return tree_sum(terms, zero=Fraction(0)), ties
+            ties += w
+    return weighted_sum(g.cfg, values, weights), Fraction(ties, weight_unit(g.cfg))
 
 
 def level_measure(g: StepFunction, level, strict: bool = True,
-                  box: Cell | None = None) -> Fraction:
-    """mu{x in box : g(x) > level} (or >=), exact."""
-    total = Fraction(0)
-    for gv, mu in zip(g.values, box_measures(g.cfg, g.cells, box)):
-        if mu is None:
-            continue
-        if (not leq_exact_or_float(gv, level)) if strict else leq_exact_or_float(level, gv):
-            total += mu
-    return total
+                  box: Cell | None = None):
+    """mu{x in box : g(x) > level} (or >=), exact; a tuple of levels gives
+    the tuple of their measures, from one pass over the cells' weights."""
+    levels = level if isinstance(level, tuple) else (level,)
+    hits = [(gv, w) for gv, w in zip(g.values, box_weights(g.cfg, g.cells, box)) if w]
+    unit = weight_unit(g.cfg)
+
+    def above(gv, lam):
+        return (not leq_exact_or_float(gv, lam)) if strict else leq_exact_or_float(lam, gv)
+
+    measures = tuple(Fraction(sum(w for gv, w in hits if above(gv, lam)), unit) for lam in levels)
+    return measures if isinstance(level, tuple) else measures[0]
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +158,11 @@ class HFamily:
             h.map_values(lambda v, a=a: a * v) for h, a in zip(self.members, factors)
         )
         return HFamily(self.cfg, members, self.partitions, self.bound_C)
+
+    @cached_property
+    def report(self) -> "FamilyCheckReport":
+        """check_family(self), computed once per family object."""
+        return check_family(self)
 
 
 @dataclass(frozen=True)
@@ -210,12 +222,12 @@ def check_family(fam: HFamily) -> FamilyCheckReport:
         labels = StepFunction.from_pieces(cfg, zip(partition, range(len(partition))))
         triples = common_refinement(h, labels)
         values = [[] for _ in partition]
-        terms = [[] for _ in partition]
-        for (_, v, i), mu in zip(triples, box_measures(cfg, [c for c, _, _ in triples])):
+        weights = [[] for _ in partition]
+        for (_, v, i), w in zip(triples, box_weights(cfg, [c for c, _, _ in triples])):
             values[i].append(v)
-            terms[i].append(v * mu)
+            weights[i].append(w)
         row = []
-        for pcell, vals, cell_terms in zip(partition, values, terms):
+        for pcell, vals, cell_weights in zip(partition, values, weights):
             sup, inf = max(vals), min(vals)
             if inf == 0:
                 if sup != 0:
@@ -224,7 +236,7 @@ def check_family(fam: HFamily) -> FamilyCheckReport:
                 ratio = Fraction(sup, inf) if is_exact(sup) and is_exact(inf) else sup / inf
                 if not leq_exact_or_float(ratio, c_min):
                     c_min = ratio
-            cell_integral = tree_sum(cell_terms, zero=Fraction(0))
+            cell_integral = weighted_sum(cfg, vals, cell_weights)
             weighted = inf * pcell.measure(cfg)
             row.append(inf)
             if min_integral is None or not leq_exact_or_float(min_integral, cell_integral):

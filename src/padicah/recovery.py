@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .errors import ConfigMismatch
 from .grid import Cell, full_cube
-from .integration import check_family, HFamily, level_measure, tail_integral, truncate
+from .integration import HFamily, level_measure, tail_integral, truncate
 from .parallel import parallel_map
 from .reports import SCHEMA_VERSION, cell_json, encode_value, encode_values
 from .series import (
@@ -100,7 +100,7 @@ def recover_additive(af: AdditiveFn, fam: HFamily, box: Cell | None = None,
         errors=errors,
         hypothesis_tails=tails,
         tol=tol,
-        family_ok=check_family(fam).passes,
+        family_ok=fam.report.passes,
     )
 
 
@@ -227,7 +227,7 @@ def lambda_condition_check(af: AdditiveFn, lambdas, box: Cell | None = None) -> 
     box.validate(af.cfg)
     maj = af.majorant()
     lambdas = tuple(lambdas)
-    measures = tuple(level_measure(maj, lam, strict=True, box=box) for lam in lambdas)
+    measures = level_measure(maj, lambdas, strict=True, box=box)
     products = tuple(lam * mu for lam, mu in zip(lambdas, measures))
     return LambdaConditionReport(box=box, lambdas=lambdas, measures=measures, products=products)
 

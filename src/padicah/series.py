@@ -18,11 +18,9 @@ exactly representable.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import product as iter_product
 from math import isfinite, isqrt, prod
-
-import numpy as np
 
 from .errors import ConfigMismatch, ValueGuardError
 from .grid import Cell, GridConfig
@@ -117,6 +115,21 @@ class CoeffMap:
             return 0
         return max(_index_block(self.cfg, nvec) for nvec in self._entries)
 
+    @cached_property
+    def _haar_bands(self) -> tuple[StepFunction, ...]:
+        """S_k for k = 0..R as sparse step functions (Haar mode), built once
+        per map: S_k is S_{k-1} plus the terms of block k, each added on
+        its own support."""
+        bands = {}
+        for nvec, coeff in self.items():
+            bands.setdefault(_index_block(self.cfg, nvec), []).append((nvec, coeff))
+        current, sums = StepFunction.constant(self.cfg, 0), []
+        for k in range(self.stabilization_rank + 1):
+            for nvec, coeff in bands.get(k, ()):
+                current = add_haar_term(current, nvec, coeff)
+            sums.append(current)
+        return tuple(sums)
+
     def __eq__(self, other):
         return (
             isinstance(other, CoeffMap)
@@ -167,27 +180,11 @@ def partial_sum(coeffs: CoeffMap, N: int) -> StepFunction:
 # banded Haar sums
 
 
-def _haar_bands(coeffs: CoeffMap):
-    """Yield S_k for k = 0..R as sparse step functions (Haar mode): S_k is
-    S_{k-1} plus the terms of block k, each added on its own support."""
-    cfg = coeffs.cfg
-    bands = {}
-    for nvec, coeff in coeffs.items():
-        bands.setdefault(_index_block(cfg, nvec), []).append((nvec, coeff))
-    current = StepFunction.constant(cfg, 0)
-    for k in range(coeffs.stabilization_rank + 1):
-        for nvec, coeff in bands.get(k, ()):
-            current = add_haar_term(current, nvec, coeff)
-        yield current
-
-
 def stabilized_sum(coeffs: CoeffMap) -> StepFunction:
     """The full sum S_R: sparse in Haar mode, the rank-R grid in Price mode."""
     if coeffs.mode == "price":
         return partial_sum(coeffs, coeffs.stabilization_rank)
-    for last in _haar_bands(coeffs):
-        pass
-    return last
+    return coeffs._haar_bands[-1]
 
 
 def series_majorant(coeffs: CoeffMap) -> StepFunction:
@@ -199,7 +196,7 @@ def series_majorant(coeffs: CoeffMap) -> StepFunction:
     if coeffs.mode == "price":
         sums = (partial_sum(coeffs, k) for k in range(coeffs.stabilization_rank + 1))
     else:
-        sums = _haar_bands(coeffs)
+        sums = coeffs._haar_bands
     return reduce(pointwise_max, (sf.abs() for sf in sums))
 
 
@@ -296,6 +293,8 @@ def haar_coeffs_from_price(coeffs: CoeffMap) -> CoeffMap:
 def _transform(coeffs: CoeffMap, to_mode: str) -> CoeffMap:
     """Scatter each touched block into a dense array and apply conj(G_j)
     (to Price) or G_j transposed (to Haar) along axis j."""
+    import numpy as np  # only gamma blocks and basis changes need it
+
     cfg = coeffs.cfg
     groups: dict[tuple[int, ...], dict] = {}
     for nvec, value in coeffs.items():

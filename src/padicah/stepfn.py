@@ -2,8 +2,9 @@
 
 A StepFunction is constant on each cell of a partition of the unit cube,
 listed in canonical cell order.  Values may be ints, Fractions, floats, or
-complex numbers; measures are always exact Fractions, so integrals of
-exact-valued functions are exact.
+complex numbers.  Measures are integer counts of the deepest cells
+(``box_weights``), so integrals of exact-valued functions are exact and
+float terms keep the bits of a value times an exact Fraction measure.
 
 Partitions are sparse in every dimension (cells are products of
 intervals of mixed ranks); only ``uniform_values`` expands onto a uniform
@@ -21,6 +22,7 @@ from math import prod
 
 from .errors import ConfigMismatch
 from .grid import (
+    MAX_UNIFORM_CELLS,
     Cell,
     GridConfig,
     PointCode,
@@ -30,8 +32,6 @@ from .grid import (
     validate_partition,
 )
 from .parallel import tree_sum
-
-MAX_UNIFORM_CELLS = 1 << 22
 
 
 def uniform_sizes(cfg: GridConfig, rank_vec) -> list[int]:
@@ -61,7 +61,7 @@ def value_abs_sq(v):
 
 
 def is_exact(v) -> bool:
-    return isinstance(v, _EXACT_TYPES)
+    return isinstance(v, _EXACT_TYPES)  # inlined in the comparisons below, which run per cell
 
 
 def leq_exact_or_float(a, b) -> bool:
@@ -70,7 +70,7 @@ def leq_exact_or_float(a, b) -> bool:
     The package's one ordering rule; every other test is written through it
     (a > b as ``not leq_exact_or_float(a, b)``, a >= b with the sides swapped).
     """
-    if is_exact(a) and is_exact(b):
+    if isinstance(a, _EXACT_TYPES) and isinstance(b, _EXACT_TYPES):
         return a <= b
     return float(a) <= float(b)
 
@@ -82,7 +82,7 @@ def leq_with_guard(lhs, rhs, rel: float = 1e-12) -> bool:
     side, so that values within rounding noise of the threshold count as
     below it (ties keep the value in truncation).
     """
-    if is_exact(lhs) and is_exact(rhs):
+    if isinstance(lhs, _EXACT_TYPES) and isinstance(rhs, _EXACT_TYPES):
         return lhs <= rhs
     lf, rf = float(lhs), float(rhs)
     return lf <= rf + rel * max(abs(lf), abs(rf))
@@ -162,28 +162,58 @@ class StepFunction:
     def integral(self, box: Cell | None = None):
         """Exact integral over `box` (default: the whole cube), which may be
         any mixed-rank cell; no refinement pass is needed."""
-        measures = box_measures(self.cfg, self.cells, box)
-        terms = [v * mu for v, mu in zip(self.values, measures) if mu is not None]
-        return tree_sum(terms, zero=Fraction(0))
+        return weighted_sum(self.cfg, self.values, box_weights(self.cfg, self.cells, box))
 
     def uniform_values(self, rank_vec) -> list:
         """Flat value list on the per-dimension uniform grid `rank_vec`."""
         return _expand(self, tuple(rank_vec))
 
 
-def box_measures(cfg: GridConfig, cells, box: Cell | None = None) -> list:
-    """Each cell's measure inside `box` (default: the whole cube), or None
-    where the cell misses the box.
+def weight_unit(cfg: GridConfig) -> int:
+    """The common denominator of the weights: prod_j m_{K_j}, the number
+    of deepest cells."""
+    return prod(seq.widths[0] for seq in cfg.seqs)
 
-    Cells are intersected with the box one by one; a box of rank 0 in
-    every dimension is the whole cube and needs no intersection.
+
+def box_weights(cfg: GridConfig, cells, box: Cell | None = None) -> list:
+    """Each cell's measure inside `box` (default: the whole cube) as an
+    integer count of deepest cells, or None where the cell misses the box.
+
+    Per dimension a cell spans the integer positions [n w_k, (n + 1) w_k),
+    w = ``widths``; intervals of one sequence nest or miss, so where they
+    meet the overlap is the narrower width.
     """
+    widths = [seq.widths for seq in cfg.seqs]
     if box is not None:
         box.validate(cfg)
-        if any(box.ranks):
-            hits = (c.intersect(cfg, box) for c in cells)
-            return [None if hit is None else hit.measure(cfg) for hit in hits]
-    return [c.measure(cfg) for c in cells]
+    if box is None or not any(box.ranks):
+        return [prod(map(tuple.__getitem__, widths, c.ranks)) for c in cells]
+    spans = [(n * w[k], (n + 1) * w[k], w[k]) for w, k, n in zip(widths, box.ranks, box.indices)]
+    out = []
+    for c in cells:
+        weight = 1
+        for w, k, n, (lo, hi, span) in zip(widths, c.ranks, c.indices, spans):
+            width = w[k]
+            start = n * width
+            if start >= hi or start + width <= lo:
+                weight = None
+                break
+            weight *= width if width < span else span
+        out.append(weight)
+    return out
+
+
+def weighted_sum(cfg: GridConfig, values, weights):
+    """sum of v * w / unit over the cells with a weight (see box_weights).
+    Exact values sum in integers into one Fraction; with any float or
+    complex value, each term is v * mu for mu = w / unit (a double beside
+    a float or complex v, a Fraction beside an exact one), by ``tree_sum``."""
+    unit = weight_unit(cfg)
+    pairs = [(v, w) for v, w in zip(values, weights) if w is not None]
+    if all(isinstance(v, _EXACT_TYPES) for v, _ in pairs):
+        return Fraction(sum(v * w for v, w in pairs), unit)
+    return tree_sum([Fraction(v * w, unit) if isinstance(v, _EXACT_TYPES) else v * (w / unit)
+                     for v, w in pairs], zero=Fraction(0))
 
 
 def _expand(sf: StepFunction, rank_vec: tuple[int, ...]) -> list:

@@ -25,12 +25,9 @@ from itertools import product as iter_product
 from math import isqrt, prod, sqrt
 from operator import mul
 
-import numpy as np
-
 from .errors import ConfigMismatch, DepthExhausted
 from .grid import BranchSeq, Cell, GridConfig, PointCode
-from .parallel import tree_sum
-from .stepfn import MAX_UNIFORM_CELLS, StepFunction, box_measures, common_refinement, uniform_sizes
+from .stepfn import MAX_UNIFORM_CELLS, StepFunction, uniform_sizes, zip_with
 
 _HALF = Fraction(1, 2)
 
@@ -377,10 +374,8 @@ def _conj(v):
 
 
 def inner_product(f: StepFunction, g: StepFunction):
-    """<f, g> = integral of f * conj(g), summed over a fixed reduction tree."""
-    triples = common_refinement(f, g)
-    measures = box_measures(f.cfg, [c for c, _, _ in triples])
-    return tree_sum([a * _conj(b) * mu for (_, a, b), mu in zip(triples, measures)], zero=0)
+    """<f, g> = integral of f * conj(g) over the common refinement."""
+    return zip_with(f, g, lambda a, b: a * _conj(b)).integral()
 
 
 # ---------------------------------------------------------------------------
@@ -409,6 +404,8 @@ def price_haar_matrix(seq: BranchSeq, block_rank: int) -> np.ndarray:
     significant first): the character table of Z_{p_1} x ... x Z_{p_{t-1}}
     on the p_t - 1 diagonal (s, s) sub-blocks, exact zeros elsewhere.
     """
+    import numpy as np  # only gamma blocks and basis changes need it
+
     if block_rank == 0:
         return np.ones((1, 1), dtype=complex)
     t = block_rank

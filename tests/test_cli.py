@@ -462,3 +462,68 @@ def test_systems_gamma_block_bytes_are_frozen(tmp_path, fmt, digest):
     rc = main(["systems", "--grid", grid, "--gamma-block", "4", "--format", fmt, "--out", str(out)])
     assert rc == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_decompose_checks_the_cap_before_enumerating(tmp_path, capsys):
+    grid = _write(tmp_path / "g.json", {"dims": 2, "seqs": [[2] * 40] * 2, "depth": 40})
+    started = time.perf_counter()
+    assert main(["decompose", "--grid", grid, "--box", "0:0,40:0"]) == 1
+    assert time.perf_counter() - started < 0.1
+    err = _one_error_line(capsys, started)
+    assert f"{2 ** 40} rank-40 cells" in err and "4194304 cap" in err
+
+
+def test_parser_survives_a_rejected_command_line(tmp_path):
+    out = tmp_path / "in_process.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["counterexample", "--nmax", "three"])
+    assert exc.value.code == 2
+    assert main(["counterexample", "--nmax", "3", "--j", "1,2", "--out", str(out)]) == 0
+    fresh = subprocess.run(
+        [sys.executable, "-m", "padicah", "counterexample", "--nmax", "3", "--j", "1,2"],
+        capture_output=True,
+    )
+    assert fresh.returncode == 0
+    assert out.read_bytes() == fresh.stdout
+
+
+def test_numpy_loads_only_for_gamma_blocks(tmp_path):
+    series = _write(tmp_path / "s.json", _series_doc())
+    family = _write(tmp_path / "f.json", _family_doc())
+    grid = _write(tmp_path / "g.json", _grid_doc(4))
+    runs = [
+        ["counterexample", "--nmax", "5"],
+        ["recover", "--mode", "haar", "--series", series, "--family", family, "--index", "1"],
+        ["systems", "--grid", grid, "--gamma-block", "2"],
+    ]
+    script = "\n".join([
+        "import sys",
+        "from padicah.cli import main",
+        *(f"print(main({argv + ['--out', str(tmp_path / 'o.json')]!r}), 'numpy' in sys.modules)"
+          for argv in runs),
+    ])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:3] == ["0 False", "0 False", "0 True"]
+
+
+def test_family_check_sweeps_once_per_family(tmp_path, monkeypatch):
+    import padicah.cli  # noqa: F401  (every module that may bind check_family)
+    import padicah.counterexample  # noqa: F401
+    from padicah.integration import check_family
+
+    calls = []
+    for name, module in list(sys.modules.items()):
+        if name.startswith("padicah") and getattr(module, "check_family", None) is check_family:
+            monkeypatch.setattr(module, "check_family",
+                                lambda fam: calls.append(fam) or check_family(fam))
+    out = str(tmp_path / "o.json")
+    assert main(["counterexample", "--nmax", "5", "--out", out]) == 0
+    assert len(calls) == 1
+    series = _write(tmp_path / "s.json", {"mode": "haar", "grid": _grid_doc(), "entries": [[[1], 2, 0]]})
+    family = _write(tmp_path / "f.json", _family_doc())
+    calls.clear()
+    rc = main(["recover", "--mode", "additive", "--series", series, "--family", family,
+               "--box", "1:0", "--out", out])
+    assert rc == 0
+    assert len(calls) == 1
