@@ -5,6 +5,8 @@ Shared flags on every subcommand: --grid (grid JSON file), --out (output
 path, default stdout), --format {json,csv}, --threads (size of the pool
 that runs family members concurrently; falls back to the PADIC_THREADS
 variable, then 1), --tolerance (verdict tolerance where a command has one).
+Both are checked before any work (threads >= 1, a finite tolerance >= 0),
+as are index ranges (within the grid's flat indices); errors name the flag.
 
 Exit codes: 0 when the command's verdicts pass, 1 for unusable input
 (missing files, parse errors, empty windows), 2 when a requested verdict
@@ -18,17 +20,22 @@ import io
 import json
 import sys
 from functools import lru_cache
+from math import isfinite
 from pathlib import Path
 
 from .errors import ConfigMismatch
-from .grid import Cell, GridConfig, cell_from_json_dict, decompose_box, full_cube
+from .grid import MAX_UNIFORM_CELLS, Cell, GridConfig, cell_from_json_dict, decompose_box, full_cube
 from .parallel import ENV_THREADS, resolve_threads
 from .reports import SCHEMA_VERSION, canonical_json, cell_json, encode_value, rational_pair
 
 
 def _load_json(path: str):
+    """Parse one input file; a parse failure names the file."""
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def _emit(text: str, out_path) -> None:
@@ -43,27 +50,42 @@ def _fail(message: str) -> int:
     return 1
 
 
-def _parse_indices(raw: str, dim: int) -> list[tuple[int, ...]]:
-    """Index lists: "3", "0,2,5", "0..7" (1-D), or "1:2,0:3" for d >= 2."""
-    out = []
+def _int(text: str, flag: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{flag}: {text.strip()!r} is not an integer") from None
+
+
+def _parse_indices(raw: str, cfg: GridConfig, flag: str) -> list[tuple[int, ...]]:
+    """Index lists: "3", "0,2,5", "0..7" (1-D), or "1:2,0:3" for d >= 2.
+
+    A range must lie within the grid's m_K flat indices and list at most
+    MAX_UNIFORM_CELLS of them; both are checked before it is expanded.
+    """
+    dim, out = cfg.dim, []
     for part in raw.split(","):
         part = part.strip()
         if ".." in part:
             if dim != 1:
-                raise ValueError("index ranges like 0..7 need a one-dimensional grid")
-            lo, hi = part.split("..", 1)
-            out.extend((n,) for n in range(int(lo), int(hi) + 1))
+                raise ValueError(f"{flag}: index ranges like 0..7 need a one-dimensional grid")
+            lo, hi = (_int(x, flag) for x in part.split("..", 1))
+            bound = cfg.seqs[0].modulus(cfg.seqs[0].depth)
+            if not 0 <= lo <= hi < bound or hi - lo >= MAX_UNIFORM_CELLS:
+                raise ValueError(f"{flag} range {part!r} must lie within the grid's flat "
+                                 f"indices 0..{bound - 1} and list at most {MAX_UNIFORM_CELLS}")
+            out.extend((n,) for n in range(lo, hi + 1))
         elif ":" in part:
-            vec = tuple(int(x) for x in part.split(":"))
+            vec = tuple(_int(x, flag) for x in part.split(":"))
             if len(vec) != dim:
                 raise ValueError(f"index {part!r} has {len(vec)} entries, grid has {dim}")
             out.append(vec)
         else:
             if dim != 1:
                 raise ValueError(f"index {part!r} has 1 entry, grid has {dim}; use a:b form")
-            out.append((int(part),))
+            out.append((_int(part, flag),))
     if not out:
-        raise ValueError("empty index list")
+        raise ValueError(f"{flag}: empty index list")
     return out
 
 
@@ -79,8 +101,8 @@ def _parse_box(raw: str, cfg: GridConfig) -> Cell:
         bits = part.strip().split(":")
         if len(bits) != 2:
             raise ValueError(f"box component {part!r} is not rank:index")
-        ranks.append(int(bits[0]))
-        indices.append(int(bits[1]))
+        ranks.append(_int(bits[0], "--box"))
+        indices.append(_int(bits[1], "--box"))
     cell = Cell(tuple(ranks), tuple(indices))
     cell.validate(cfg)
     return cell
@@ -122,10 +144,10 @@ def cmd_systems(args) -> int:
 
     tables = []
     if args.haar is not None:
-        for nvec in _parse_indices(args.haar, cfg.dim):
+        for nvec in _parse_indices(args.haar, cfg, "--haar"):
             tables.append(("haar", nvec, tensor_haar_step(cfg, nvec)))
     if args.price is not None:
-        for kvec in _parse_indices(args.price, cfg.dim):
+        for kvec in _parse_indices(args.price, cfg, "--price"):
             tables.append(("price", kvec, tensor_price_step(cfg, kvec)))
 
     blocks = []
@@ -222,7 +244,7 @@ def cmd_recover(args) -> int:
         cfg = GridConfig.from_json_dict(_load_json(args.grid))
         if cfg != coeffs.cfg:
             raise ConfigMismatch("--grid disagrees with the series file")
-    threads = resolve_threads(args.threads)
+    threads = args.threads
     family_report = fam.report
 
     def as_value(coeff):
@@ -241,7 +263,7 @@ def cmd_recover(args) -> int:
 
     if args.index is None:
         return _fail(f"mode {args.mode} needs --index")
-    index = _parse_indices(args.index, coeffs.cfg.dim)
+    index = _parse_indices(args.index, coeffs.cfg, "--index")
     if len(index) != 1:
         return _fail("recover takes exactly one --index")
     index = index[0]
@@ -300,9 +322,9 @@ def cmd_counterexample(args) -> int:
         return _fail("the counterexample report is JSON only")
     j_values = None
     if args.j is not None:
-        j_values = tuple(int(p) for p in args.j.split(",") if p.strip())
+        j_values = tuple(_int(p, "--j") for p in args.j.split(",") if p.strip())
     spec = ExampleSpec(n_max=args.nmax, j_values=j_values)
-    report = end_to_end(spec, threads=resolve_threads(args.threads))
+    report = end_to_end(spec, threads=args.threads)
     _emit(canonical_json(report.to_json_dict()), args.out)
     return 0 if report.overall_pass else 2
 
@@ -420,6 +442,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # shared flags are checked before any work, on every subcommand
+        if args.tolerance is not None and not (isfinite(args.tolerance) and args.tolerance >= 0):
+            return _fail(f"--tolerance must be a finite number >= 0, got {args.tolerance!r}")
+        if args.threads is not None and args.threads < 1:
+            return _fail(f"--threads must be >= 1, got {args.threads}")
+        args.threads = resolve_threads(args.threads)
         return args.func(args)
     except FileNotFoundError as exc:
         return _fail(f"missing file: {exc.filename}")

@@ -17,14 +17,10 @@ ENV_THREADS = "PADIC_THREADS"
 def resolve_threads(threads: int | None = None) -> int:
     """Pick the worker count: explicit argument, else PADIC_THREADS, else 1."""
     if threads is None:
-        raw = os.environ.get(ENV_THREADS, "").strip()
-        if raw:
-            try:
-                threads = int(raw)
-            except ValueError:
-                raise ValueError(f"{ENV_THREADS} must be an integer, got {raw!r}") from None
-        else:
-            threads = 1
+        raw = os.environ.get(ENV_THREADS, "").strip() or "1"
+        if not (raw.isdecimal() and int(raw) >= 1):
+            raise ValueError(f"{ENV_THREADS} must be an integer >= 1, got {raw!r}")
+        threads = int(raw)
     if threads < 1:
         raise ValueError(f"thread count must be >= 1, got {threads}")
     return threads

@@ -2,9 +2,11 @@
 
 A CoeffMap assigns coefficients to multi-indices of the generalized Haar
 system (mode "haar") or the Price system (mode "price") over one grid.
-Partial sums stabilize once the cutoff rank reaches the map's
-stabilization rank R, so the stabilized sum S_R is a finite step
-function, the density of the induced additive function on cells:
+Every sum of terms is built from the systems' term builders
+(``add_haar_term``, ``price_term``).  Partial sums stabilize once the
+cutoff rank reaches the map's stabilization rank R, so the stabilized
+sum S_R is a finite step function, the density of the induced additive
+function on cells:
 
     Psi(I) = integral over I of S_N = integral over I of S_R,
              for any N >= max(R, rank(I)),
@@ -30,10 +32,9 @@ from .systems import (
     add_haar_term,
     block_of_index,
     block_range,
-    gen_haar_on_cell,
     haar_sup_sq,
     price_haar_matrix,
-    price_on_cell,
+    price_term,
 )
 
 VALUE_GUARD = 2 ** 52
@@ -147,33 +148,17 @@ def partial_sum(coeffs: CoeffMap, N: int) -> StepFunction:
 
     Includes exactly the terms whose every per-dimension index is below
     that dimension's rank-N modulus; for N >= stabilization_rank this is
-    the full sum.
+    the full sum.  Each term comes from its system's term builder and is
+    added cell by cell, in the map's sorted order.
     """
-    cfg = coeffs.cfg
-    sizes = uniform_sizes(cfg, (N,) * cfg.dim)
-    strides = [1] * cfg.dim
-    for j in range(cfg.dim - 2, -1, -1):
-        strides[j] = strides[j + 1] * sizes[j + 1]
-    vals = [0] * prod(sizes)
-    on_cell = gen_haar_on_cell if coeffs.mode == "haar" else price_on_cell
+    cfg, ranks = coeffs.cfg, (N,) * coeffs.cfg.dim
+    vals = [0] * prod(uniform_sizes(cfg, ranks))
     for nvec, coeff in coeffs.items():
-        if _index_block(cfg, nvec) > N:
-            continue
-        per_dim = []
-        for j, n in enumerate(nvec):
-            col = []
-            for i in range(sizes[j]):
-                uv = on_cell(cfg.seqs[j], n, N, i)
-                if not uv.is_zero:
-                    col.append((i, uv))
-            per_dim.append(col)
-        for combo in iter_product(*per_dim):
-            uv = combo[0][1]
-            for _, u in combo[1:]:
-                uv = uv * u
-            flat = sum(i * s for (i, _), s in zip(combo, strides))
-            vals[flat] = vals[flat] + uv.times(coeff)
-    return StepFunction.on_grid(cfg, (N,) * cfg.dim, vals)
+        if _index_block(cfg, nvec) <= N:
+            term = (add_haar_term(StepFunction.constant(cfg, 0), nvec, coeff)
+                    if coeffs.mode == "haar" else price_term(cfg, nvec, coeff))
+            vals = [a + b for a, b in zip(vals, term.uniform_values(ranks))]
+    return StepFunction.on_grid(cfg, ranks, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +352,8 @@ def coeffs_from_json_dict(data: dict) -> CoeffMap:
                 raise ValueError(f"entries[{i}][{pos}] must be a number, got {part!r}")
             if isinstance(part, float) and not isfinite(part):
                 raise ValueError(f"entries[{i}][{pos}] must be finite, got {part!r}")
+        if tuple(nvec) in entries:
+            raise ValueError(f"entries[{i}] repeats index {nvec}")
         if im == 0 and isinstance(re, int):
             value = re
         else:

@@ -156,9 +156,6 @@ class StepFunction:
     def abs(self) -> "StepFunction":
         return self.map_values(value_abs)
 
-    def scale(self, c) -> "StepFunction":
-        return self.map_values(lambda v: c * v)
-
     def integral(self, box: Cell | None = None):
         """Exact integral over `box` (default: the whole cube), which may be
         any mixed-rank cell; no refinement pass is needed."""

@@ -14,6 +14,10 @@ Three families, all constant on cells and evaluated exactly:
 Values are carried as UnitValue objects (sqrt of an integer times a root
 of unity with exact rational phase) so that products of system values and
 exact coefficients never round until the final conversion to a number.
+
+Each system has one term builder that lays coeff times a tensor basis
+function on cells, ``add_haar_term`` and ``price_term``: tables, partial
+sums, Haar bands and recovery bases all go through them.
 """
 from __future__ import annotations
 
@@ -103,13 +107,9 @@ def haar_decode(seq: BranchSeq, n: int) -> tuple[int, int, int]:
     """
     if n < 1:
         raise ValueError(f"flat index must be >= 1 (0 is the constant), got {n}")
-    mods = seq.moduli
-    for k in range(seq.depth):
-        if mods[k] <= n < mods[k + 1]:
-            rem = n - mods[k]
-            width = seq.factor(k + 1) - 1
-            return k, rem // width, rem % width + 1
-    raise DepthExhausted(f"flat index {n} needs rank beyond depth {seq.depth}")
+    k = block_of_index(seq, n) - 1
+    rem, width = n - seq.moduli[k], seq.p[k] - 1
+    return k, rem // width, rem % width + 1
 
 
 def haar_encode(seq: BranchSeq, k: int, r: int, s: int) -> int:
@@ -247,35 +247,6 @@ def price_eval(seq: BranchSeq, k: int, pt) -> UnitValue:
     return UnitValue(1, phase)
 
 
-# cell-prefix evaluation: value on a rank-`rank` cell by its flat index
-
-
-def gen_haar_on_cell(seq: BranchSeq, n: int, rank: int, index: int) -> UnitValue:
-    if n == 0:
-        return UnitValue.ONE
-    k, r, s = haar_decode(seq, n)
-    if rank < k + 1:
-        raise DepthExhausted(f"index {n} is not constant on rank-{rank} cells")
-    ratio = seq.modulus(rank) // seq.modulus(k)
-    if index // ratio != r:
-        return UnitValue.ZERO
-    p = seq.factor(k + 1)
-    digit = (index // (seq.modulus(rank) // seq.modulus(k + 1))) % p
-    return UnitValue(seq.modulus(k), Fraction(digit * s, p))
-
-
-def price_on_cell(seq: BranchSeq, k: int, rank: int, index: int) -> UnitValue:
-    alphas = price_digits(seq, k)
-    if rank < len(alphas):
-        raise DepthExhausted(f"Price index {k} is not constant on rank-{rank} cells")
-    phase = Fraction(0)
-    m_rank = seq.modulus(rank)
-    for j, a in enumerate(alphas):
-        digit = (index // (m_rank // seq.modulus(j + 1))) % seq.factor(j + 1)
-        phase += Fraction(a * digit, seq.factor(j + 1))
-    return UnitValue(1, phase)
-
-
 # ---------------------------------------------------------------------------
 # tensor step functions and inner products
 
@@ -307,13 +278,13 @@ def add_haar_term(sf: StepFunction, nvec, coeff) -> StepFunction:
             f"which exceeds the {MAX_UNIFORM_CELLS} cap"
         )
     terms = []  # per dimension: support rank and index, rank of the pieces, their values
-    for seq, n, d in zip(cfg.seqs, nvec, decoded):
+    for seq, d in zip(cfg.seqs, decoded):
         if d is None:
             terms.append((0, 0, 0, [UnitValue.ONE]))
             continue
-        k, r, _ = d
+        k, r, s = d
         p = seq.factor(k + 1)
-        terms.append((k, r, k + 1, [gen_haar_on_cell(seq, n, k + 1, r * p + x) for x in range(p)]))
+        terms.append((k, r, k + 1, [UnitValue(seq.modulus(k), Fraction(x * s, p)) for x in range(p)]))
     support = Cell(tuple(t[0] for t in terms), tuple(t[1] for t in terms))
     out = []
     for cell, value in zip(sf.cells, sf.values):
@@ -353,20 +324,36 @@ def tensor_haar_step(cfg: GridConfig, nvec) -> StepFunction:
     return add_haar_term(StepFunction.constant(cfg, 0), nvec, UnitValue.ONE)
 
 
-def tensor_price_step(cfg: GridConfig, kvec) -> StepFunction:
-    """psi_{k_1} x ... x psi_{k_d} as an exact step function: dense, since
-    it is nowhere zero, and refused before it is built beyond the cell cap."""
+def _price_row(seq: BranchSeq, k: int) -> list[UnitValue]:
+    """psi_k on the m_t cells of its block rank t, from one digit expansion:
+    cell i with digits d_1..d_t has phase sum_j alpha_j d_j / p_j, which is
+    e / m_t for the integer e = sum_j alpha_j d_j (m_t / p_j)."""
+    alphas = price_digits(seq, k)
+    m = seq.modulus(len(alphas))
+    exponents = [0]
+    for a, p in zip(alphas, seq.p):
+        step = a * (m // p)
+        exponents = [e + d * step for e in exponents for d in range(p)]
+    return [UnitValue(1, Fraction(e, m)) for e in exponents]
+
+
+def price_term(cfg: GridConfig, kvec, coeff) -> StepFunction:
+    """coeff * psi_{k_1} x ... x psi_{k_d} on the uniform grid of its block
+    ranks: dense, since it is nowhere zero, and refused before it is built
+    beyond the cell cap.  UnitValue coefficients stay exact."""
     kvec = tuple(kvec)
     if len(kvec) != cfg.dim:
         raise ConfigMismatch(f"index has {len(kvec)} entries, grid has {cfg.dim} dims")
     ranks = tuple(block_of_index(seq, k) for seq, k in zip(cfg.seqs, kvec))
-    sizes = uniform_sizes(cfg, ranks)
-    per_dim = [
-        [price_on_cell(cfg.seqs[j], kvec[j], ranks[j], i) for i in range(sizes[j])]
-        for j in range(cfg.dim)
-    ]
-    values = [reduce(mul, uvs).as_number() for uvs in iter_product(*per_dim)]
+    uniform_sizes(cfg, ranks)  # the cap, checked before any row is built
+    rows = [_price_row(seq, k) for seq, k in zip(cfg.seqs, kvec)]
+    values = [reduce(mul, uvs).times(coeff) for uvs in iter_product(*rows)]
     return StepFunction.on_grid(cfg, ranks, values)
+
+
+def tensor_price_step(cfg: GridConfig, kvec) -> StepFunction:
+    """psi_{k_1} x ... x psi_{k_d}: the Price term with coefficient one."""
+    return price_term(cfg, kvec, UnitValue.ONE)
 
 
 def _conj(v):

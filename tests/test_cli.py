@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -527,3 +528,114 @@ def test_family_check_sweeps_once_per_family(tmp_path, monkeypatch):
                "--box", "1:0", "--out", out])
     assert rc == 0
     assert len(calls) == 1
+
+
+def _refused_before_work(capsys, argv, *names):
+    """`argv` exits 1 at once with one error line naming each of `names`,
+    and writes no report."""
+    started = time.perf_counter()
+    out = argv[argv.index("--out") + 1] if "--out" in argv else None
+    assert main(argv) == 1
+    err = _one_error_line(capsys, started)
+    assert all(name in err for name in names), err
+    assert out is None or not Path(out).exists()
+    return err
+
+
+@pytest.mark.parametrize("flags, names", [
+    (["--tolerance", "nan"], ["--tolerance", "nan"]),
+    (["--tolerance", "inf"], ["--tolerance", "inf"]),
+    (["--tolerance", "-1"], ["--tolerance", "-1.0"]),
+    (["--threads", "-3"], ["--threads", "-3"]),
+    (["--threads", "0"], ["--threads", "0"]),
+])
+def test_shared_flags_are_checked_before_any_work(tmp_path, capsys, flags, names):
+    series = _write(tmp_path / "s.json", _series_doc())
+    family = _write(tmp_path / "f.json", _family_doc())
+    grid = _write(tmp_path / "g.json", _grid_doc(3))
+    out = str(tmp_path / "o.json")
+    for argv in (["recover", "--mode", "additive", "--series", series, "--family", family],
+                 ["recover", "--mode", "haar", "--series", series, "--family", family,
+                  "--index", "1"],
+                 ["decompose", "--grid", grid, "--box", "1:0"],
+                 ["systems", "--grid", grid, "--haar", "1"],
+                 ["counterexample", "--nmax", "3"]):
+        _refused_before_work(capsys, argv + flags + ["--out", out], *names)
+
+
+@pytest.mark.parametrize("raw", ["zz", "0", "-2", "1.5"])
+def test_bad_thread_variable_is_named_on_every_subcommand(tmp_path, capsys, monkeypatch, raw):
+    monkeypatch.setenv("PADIC_THREADS", raw)
+    grid = _write(tmp_path / "g.json", _grid_doc(3))
+    for argv in (["systems", "--grid", grid, "--haar", "1"],
+                 ["decompose", "--grid", grid, "--box", "1:0"]):
+        _refused_before_work(capsys, argv, "PADIC_THREADS", repr(raw))
+    # an explicit --threads overrides the variable
+    assert main(["systems", "--grid", grid, "--haar", "1", "--threads", "1",
+                 "--out", str(tmp_path / "o.json")]) == 0
+
+
+@pytest.mark.parametrize("flag", ["--haar", "--price"])
+@pytest.mark.parametrize("raw", ["0..100000", "0..16", "-3..2", "5..2"])
+def test_index_ranges_are_bounded_before_they_expand(tmp_path, capsys, flag, raw):
+    grid = _write(tmp_path / "g.json", _grid_doc(4))
+    _refused_before_work(capsys, ["systems", "--grid", grid, f"{flag}={raw}"],
+                         f"{flag} range {raw!r}", "0..15")
+    out = tmp_path / "o.json"
+    assert main(["systems", "--grid", grid, flag, "0..15", "--out", str(out)]) == 0
+    assert len(json.loads(out.read_text())["tables"]) == 16
+
+
+def test_a_range_longer_than_the_cell_cap_is_refused(tmp_path, capsys, monkeypatch):
+    import padicah.cli
+
+    # a lowered cap stands in for a deep grid, whose over-long range the
+    # check must refuse without listing it
+    monkeypatch.setattr(padicah.cli, "MAX_UNIFORM_CELLS", 8)
+    grid = _write(tmp_path / "g.json", _grid_doc(4))
+    _refused_before_work(capsys, ["systems", "--grid", grid, "--haar", "0..15"],
+                         "--haar range '0..15'", "0..15", "at most 8")
+    out = tmp_path / "o.json"
+    assert main(["systems", "--grid", grid, "--haar", "8..15", "--out", str(out)]) == 0
+
+
+def test_unparsable_flags_are_named(tmp_path, capsys):
+    series = _write(tmp_path / "s.json", _series_doc())
+    family = _write(tmp_path / "f.json", _family_doc())
+    grid = _write(tmp_path / "g.json", _grid_doc(3))
+    grid2 = _write(tmp_path / "g2.json", {"dims": 2, "seqs": [[2], [2]], "depth": 1})
+    recover = ["recover", "--series", series, "--family", family]
+    for argv, flag in (
+        (["systems", "--grid", grid, "--haar", "x"], "--haar: 'x'"),
+        (["systems", "--grid", grid, "--price", "1..y"], "--price: 'y'"),
+        (["systems", "--grid", grid2, "--haar", "1:z"], "--haar: 'z'"),
+        (recover + ["--mode", "haar", "--index", "x"], "--index: 'x'"),
+        (recover + ["--mode", "additive", "--box", "1:x"], "--box: 'x'"),
+        (["decompose", "--grid", grid, "--box", "1:x"], "--box: 'x'"),
+        (["counterexample", "--j", "1,a"], "--j: 'a'"),
+    ):
+        _refused_before_work(capsys, argv, f"{flag} is not an integer")
+
+
+def test_deeply_nested_json_is_refused_by_name(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    for argv in (["systems", "--grid", str(path), "--haar", "1"],
+                 ["check-family", "--family", str(path)]):
+        _refused_before_work(capsys, argv, f"error: {path}: maximum recursion depth exceeded")
+
+
+def test_malformed_json_names_the_file(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text('{"dims": 1,')
+    _refused_before_work(capsys, ["check-family", "--family", str(path)], f"error: {path}: ")
+
+
+def test_series_file_repeating_an_index_is_refused(tmp_path, capsys):
+    doc = _series_doc()
+    doc["entries"] = [[[1], 2, 0], [[3], 1, 0], [[1], 5, 0]]
+    series = _write(tmp_path / "s.json", doc)
+    family = _write(tmp_path / "f.json", _family_doc())
+    _refused_before_work(capsys, ["recover", "--mode", "haar", "--series", series,
+                                  "--family", family, "--index", "1"],
+                         "entries[2] repeats index [1]")

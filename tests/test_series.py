@@ -425,3 +425,14 @@ def test_banded_sum_leaves_cells_off_the_support_untouched():
     right = [v for c, v in zip(banded.cells, banded.values) if c.start(cfg, 0) >= Fraction(1, 2)]
     assert right and all(type(v) is int and v == 0 for v in right)
     assert banded.uniform_values((2, 2)) == partial_sum(coeffs, 2).uniform_values((2, 2))
+
+
+def test_price_unit_value_coefficient_stays_exact_in_partial_sum():
+    # psi_1 on p = 4 has phase d/4 on cell d; the coefficient's phase 1/4
+    # turns cell 3 into the integer 1 and cell 1 into -1, with no rounding
+    cfg = GridConfig.from_lists([[4]])
+    coeffs = CoeffMap(cfg, {(1,): UnitValue(1, Fraction(1, 4))}, "price")
+    values = partial_sum(coeffs, 1).values
+    assert (values[1], values[3]) == (-1, 1)
+    assert type(values[1]) is int and type(values[3]) is int
+    assert all(isinstance(v, complex) for v in (values[0], values[2]))

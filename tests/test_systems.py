@@ -31,7 +31,7 @@ from padicah import (
     tensor_haar_step,
     tensor_price_step,
 )
-from padicah.systems import gen_haar_on_cell
+from padicah.systems import price_term
 from strategies import grids, haar_indices
 
 
@@ -279,6 +279,12 @@ def test_haar_encode_rejects_bad_args():
         haar_encode(seq, 0, 1, 1)  # r outside [0, m_k)
 
 
+def _deepest_cells(cfg):
+    """The deepest cells in canonical order, each as its per-dimension
+    digit strings d_1..d_K (a point of the cell for the point evaluators)."""
+    return product(*(product(*(range(p) for p in seq.p)) for seq in cfg.seqs))
+
+
 @settings(max_examples=80)
 @given(st.data())
 def test_sparse_haar_step_matches_the_cell_evaluator(data):
@@ -287,9 +293,9 @@ def test_sparse_haar_step_matches_the_cell_evaluator(data):
     step = tensor_haar_step(cfg, nvec)
     ranks = tuple(seq.depth for seq in cfg.seqs)
     want = [
-        reduce(mul, (gen_haar_on_cell(seq, n, k, i) for seq, n, k, i in
-                     zip(cfg.seqs, nvec, ranks, idx))).as_number()
-        for idx in product(*(range(seq.modulus(seq.depth)) for seq in cfg.seqs))
+        reduce(mul, (gen_haar_eval(seq, n, digits) for seq, n, digits in
+                     zip(cfg.seqs, nvec, idx))).as_number()
+        for idx in _deepest_cells(cfg)
     ]
     assert step.uniform_values(ranks) == want
     # per dimension: sum_{t<=k}(p_t - 1) zero cells and p_{k+1} children
@@ -300,3 +306,31 @@ def test_sparse_haar_step_matches_the_cell_evaluator(data):
             zeros += sum(p - 1 for p in seq.p[:k])
             children *= seq.factor(k + 1)
     assert len(step.cells) == zeros + children
+
+
+_MIXED_RADIX_GRIDS = [GridConfig.from_lists(lists) for lists in (
+    [[2, 5, 3]], [[3, 2, 5, 2]], [[2, 5, 3], [3, 2]], [[3, 2], [2, 2], [5]],
+)]
+_COEFFS = st.one_of(
+    st.just(UnitValue.ONE),
+    st.builds(UnitValue, st.integers(0, 9), st.fractions(0, 1, max_denominator=12)),
+    st.integers(-4, 4),
+    st.builds(complex, st.floats(-2, 2), st.floats(-2, 2)),
+)
+
+
+@settings(max_examples=80)
+@given(st.data())
+def test_price_term_matches_the_point_evaluator(data):
+    cfg = data.draw(st.one_of(st.sampled_from(_MIXED_RADIX_GRIDS), grids()))
+    kvec = data.draw(haar_indices(cfg))
+    coeff = data.draw(_COEFFS)
+    term = price_term(cfg, kvec, coeff)
+    want = [
+        reduce(mul, (price_eval(seq, k, digits) for seq, k, digits in
+                     zip(cfg.seqs, kvec, idx))).times(coeff)
+        for idx in _deepest_cells(cfg)
+    ]
+    got = term.uniform_values(tuple(seq.depth for seq in cfg.seqs))
+    assert list(map(repr, got)) == list(map(repr, want))
+    assert term.max_ranks() == tuple(len(price_digits(seq, k)) for seq, k in zip(cfg.seqs, kvec))
