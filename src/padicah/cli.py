@@ -129,7 +129,7 @@ def _re_im_strings(v) -> tuple[str, str]:
 
 
 def cmd_systems(args) -> int:
-    from .systems import price_haar_matrix, tensor_haar_step, tensor_price_step
+    from . import systems
 
     if args.grid is None:
         return _fail("systems needs --grid")
@@ -142,18 +142,18 @@ def cmd_systems(args) -> int:
     if args.gamma_block is not None and not 0 <= args.gamma_block <= cfg.min_depth:
         return _fail(f"--gamma-block {args.gamma_block} outside 0..{cfg.min_depth}")
 
-    tables = []
-    if args.haar is not None:
-        for nvec in _parse_indices(args.haar, cfg, "--haar"):
-            tables.append(("haar", nvec, tensor_haar_step(cfg, nvec)))
-    if args.price is not None:
-        for kvec in _parse_indices(args.price, cfg, "--price"):
-            tables.append(("price", kvec, tensor_price_step(cfg, kvec)))
+    requests = [(system, index) for system, flag in (("haar", args.haar), ("price", args.price))
+                if flag is not None for index in _parse_indices(flag, cfg, f"--{system}")]
+    total = sum(systems.term_cells(cfg, index, system) for system, index in requests)
+    if total > systems.MAX_UNIFORM_CELLS:  # every table together, before any is built
+        flags = " and ".join(dict.fromkeys(f"--{system}" for system, _ in requests))
+        return _fail(f"{flags} tables span up to {total} cells in all, "
+                     f"which exceeds the {systems.MAX_UNIFORM_CELLS} cap")
+    build = {"haar": systems.tensor_haar_step, "price": systems.tensor_price_step}
+    tables = [(system, index, build[system](cfg, index)) for system, index in requests]
 
-    blocks = []
-    if args.gamma_block is not None:
-        for j in range(cfg.dim):
-            blocks.append((j, args.gamma_block, price_haar_matrix(cfg.seqs[j], args.gamma_block)))
+    blocks = [(j, args.gamma_block, systems.price_haar_matrix(seq, args.gamma_block))
+              for j, seq in enumerate(cfg.seqs) if args.gamma_block is not None]
 
     if args.format == "csv":
         if wants_tables:
@@ -253,8 +253,8 @@ def cmd_recover(args) -> int:
     if args.mode == "additive":
         box = _parse_box(args.box, coeffs.cfg) if args.box else full_cube(coeffs.cfg.dim)
         tol = args.tolerance if args.tolerance is not None else 1e-9
-        report = recover_additive(
-            AdditiveFn.from_series(coeffs), fam, box=box, tol=tol, threads=threads
+        (report,) = recover_additive(
+            AdditiveFn.from_series(coeffs), fam, boxes=(box,), tol=tol, threads=threads
         )
         doc = report.to_json_dict()
         doc["family"] = family_report.to_json_dict()

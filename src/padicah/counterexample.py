@@ -18,7 +18,8 @@ Two facts are then checked in exact rational arithmetic:
   j = 1..m and 2^m on the remainder [1 - 2^-m, 1), with k_m = m(m-1)/2):
   the tails int_{S* > h_m} h_m fall under the closed-form bound
   2m/2^m + 2^(m+1)/2^(k_{m+1}), and recovery against the family lands
-  on the exact cell values.
+  on the exact cell values.  One pass per member (``member_passes``)
+  feeds the tails, their cover check and the recoveries on every box.
 
 Row counts above 8 are refused: the point is an exactly checkable
 desk-scale instance, and deeper rows push the exact step values past
@@ -31,17 +32,17 @@ from fractions import Fraction
 
 from .errors import WindowError
 from .grid import Cell, GridConfig, full_cube
-from .integration import FamilyCheckReport, HFamily, tail_integral
+from .integration import FamilyCheckReport, HFamily
 from .recovery import (
     AdditiveRecoveryReport,
     TailConditionReport,
+    additive_reports,
     lambda_condition_check,
-    recover_additive,
-    tail_condition_check,
+    member_passes,
 )
 from .reports import SCHEMA_VERSION, cell_json, encode_value, encode_values
 from .series import AdditiveFn, CoeffMap
-from .stepfn import StepFunction, common_refinement
+from .stepfn import StepFunction
 from .systems import UnitValue
 
 MAX_ROWS = 8
@@ -263,22 +264,33 @@ class SuccessReport:
         }
 
 
-def _excess_cells_covered(spec: ExampleSpec, maj: StepFunction,
-                          member: StepFunction, m: int) -> bool:
+def _excess_cells_covered(spec: ExampleSpec, cfg: GridConfig, excess, m: int) -> bool:
     """Every cell where S* exceeds h_m lies in a known summand support.
 
     The predicted cover: supports of row m+1 over pieces 1..m, and the
     widest support supp(i, i) of each piece past m.
     """
-    cfg = maj.cfg
     cover = []
     if m + 1 <= spec.n_max:
         cover.extend(term_support(m + 1, i) for i in range(1, m + 1))
     cover.extend(term_support(i, i) for i in range(m + 1, spec.n_max + 1))
-    for cell, sv, hv in common_refinement(maj, member):
-        if sv > hv and not any(c.contains(cfg, cell) for c in cover):
-            return False
-    return True
+    return all(any(c.contains(cfg, cell) for c in cover) for cell in excess)
+
+
+def _success_report(spec: ExampleSpec, fam: HFamily, passes) -> SuccessReport:
+    """The staircase checks, read from member passes whose first box is
+    the whole cube."""
+    tails = tuple(cube_tails[0] for _, cube_tails, _ in passes)
+    bounds = tuple(tail_bound(m) for m in range(1, len(fam) + 1))
+    return SuccessReport(
+        tails=tails,
+        bounds=bounds,
+        tails_within_bounds=all(t <= b for t, b in zip(tails, bounds)),
+        inclusion_ok=all(_excess_cells_covered(spec, fam.cfg, excess, m)
+                         for m, (_, _, excess) in enumerate(passes, start=1)),
+        head_bound_ok=all(head_bounds_hold(spec, m) for m in range(1, len(fam) + 1)),
+        decay_ok=tails[-1] == 0 or tails[-1] < tails[0],
+    )
 
 
 def verify_ah_success(spec: ExampleSpec, af: AdditiveFn | None = None,
@@ -288,22 +300,7 @@ def verify_ah_success(spec: ExampleSpec, af: AdditiveFn | None = None,
         af = AdditiveFn.from_series(example_series(spec))
     if fam is None:
         fam = example_family(spec)
-    maj = af.majorant()
-    tails = []
-    inclusion_ok = True
-    for m, member in enumerate(fam.members, start=1):
-        tails.append(tail_integral(maj, member, alpha=1, strict=True))
-        if not _excess_cells_covered(spec, maj, member, m):
-            inclusion_ok = False
-    bounds = tuple(tail_bound(m) for m in range(1, len(fam) + 1))
-    return SuccessReport(
-        tails=tuple(tails),
-        bounds=bounds,
-        tails_within_bounds=all(t <= b for t, b in zip(tails, bounds)),
-        inclusion_ok=inclusion_ok,
-        head_bound_ok=all(head_bounds_hold(spec, m) for m in range(1, len(fam) + 1)),
-        decay_ok=tails[-1] == 0 or tails[-1] < tails[0],
-    )
+    return _success_report(spec, fam, member_passes(af, fam, (full_cube(1),)))
 
 
 # ---------------------------------------------------------------------------
@@ -363,17 +360,16 @@ def end_to_end(spec: ExampleSpec, threads: int = 1) -> EndToEndReport:
     respect anyway."""
     af = AdditiveFn.from_series(example_series(spec))
     fam = example_family(spec)
+    boxes = tuple(box for box in RECOVERY_BOXES if box.ranks[0] <= spec.depth)  # the cube first
+    passes = member_passes(af, fam, boxes, threads=threads)
     tol = float(tail_bound(len(fam)))
+    success = _success_report(spec, fam, passes)
     return EndToEndReport(
         n_max=spec.n_max,
         family_report=fam.report,
-        success=verify_ah_success(spec, af=af, fam=fam),
+        success=success,
         failures=tuple(verify_lambda_failure(spec, j, af=af) for j in spec.j_values),
-        tail_check=tail_condition_check(af, fam, tol=tol, threads=threads),
+        tail_check=TailConditionReport.from_tails(boxes[0], success.tails, tol),
         tail_tol=tol,
-        recoveries=tuple(
-            recover_additive(af, fam, box=box, threads=threads)
-            for box in RECOVERY_BOXES
-            if box.ranks[0] <= spec.depth
-        ),
+        recoveries=additive_reports(af, fam, boxes, passes),
     )

@@ -35,10 +35,10 @@ from .stepfn import (
     is_exact,
     leq_exact_or_float,
     leq_with_guard,
+    value_abs,
     value_abs_sq,
     weight_unit,
     weighted_sum,
-    zip_with,
 )
 
 
@@ -59,9 +59,14 @@ def truncate(f: StepFunction, h: StepFunction, scale_sq=1) -> StepFunction:
     doubles with a 1e-12 relative guard band; ties keep the value.
     """
     _require_cutoff_values(h)
-    return zip_with(
-        f, h, lambda fv, hv: fv if leq_with_guard(value_abs_sq(fv), scale_sq * hv * hv) else 0
-    )
+    triples = common_refinement(f, h)
+    return StepFunction(f.cfg, tuple(c for c, _, _ in triples), truncated_values(triples, scale_sq))
+
+
+def truncated_values(triples, scale_sq=1) -> tuple:
+    """The values of [f]_h on refinement triples (cell, f value, h value)."""
+    return tuple(fv if leq_with_guard(value_abs_sq(fv), scale_sq * hv * hv) else 0
+                 for _, fv, hv in triples)
 
 
 def tail_integral(g: StepFunction, h: StepFunction, alpha=1, strict: bool = True,
@@ -79,18 +84,25 @@ def tail_with_ties(g: StepFunction, h: StepFunction, alpha=1, strict: bool = Tru
     """(tail integral, measure of exact ties {g = alpha*h}) in one pass."""
     _require_cutoff_values(h)
     triples = common_refinement(g, h)
-    values, weights = [], []
+    return _tail_and_ties(g.cfg, triples, box_weights(g.cfg, [c for c, _, _ in triples], box),
+                          alpha, strict)
+
+
+def _tail_and_ties(cfg: GridConfig, triples, weights, alpha, strict: bool):
+    """tail_with_ties on refinement triples (cell, g value, h value) and
+    their box weights."""
+    values, tail_weights = [], []
     ties = 0
-    for (_, gv, hv), w in zip(triples, box_weights(g.cfg, [c for c, _, _ in triples], box)):
+    for (_, gv, hv), w in zip(triples, weights):
         if w is None:
             continue
         bound = alpha * hv
         if (not leq_exact_or_float(gv, bound)) if strict else leq_exact_or_float(bound, gv):
             values.append(hv)
-            weights.append(w)
+            tail_weights.append(w)
         if is_exact(gv) and is_exact(bound) and gv == bound:
             ties += w
-    return weighted_sum(g.cfg, values, weights), Fraction(ties, weight_unit(g.cfg))
+    return weighted_sum(cfg, values, tail_weights), Fraction(ties, weight_unit(cfg))
 
 
 def level_measure(g: StepFunction, level, strict: bool = True,
@@ -320,17 +332,17 @@ def ah_integral(f: StepFunction, fam: HFamily, box: Cell | None = None,
     if f.cfg != fam.cfg:
         raise ConfigMismatch("function and family live on different grids")
     box = box if box is not None else full_cube(f.cfg.dim)
-    g = f.abs()
+    cfg = f.cfg
 
     def one_member(h: StepFunction):
-        v = truncate(f, h).integral(box)
-        tails, ties = [], []
-        for alpha in alphas:
-            t, tie = tail_with_ties(g, h, alpha=alpha, strict=False, box=box)
-            tails.append(t)
-            ties.append(tie)
-        strict_tail = tail_integral(g, h, alpha=1, strict=True, box=box)
-        return v, tails, ties, strict_tail
+        # |f| has f's partition, so one refinement serves the truncation and every tail
+        _require_cutoff_values(h)
+        triples = common_refinement(f, h)
+        weights = box_weights(cfg, [c for c, _, _ in triples], box)
+        abs_triples = [(c, value_abs(fv), hv) for c, fv, hv in triples]
+        adm = [_tail_and_ties(cfg, abs_triples, weights, alpha, False) for alpha in alphas]
+        return (weighted_sum(cfg, truncated_values(triples), weights), [t for t, _ in adm],
+                [tie for _, tie in adm], _tail_and_ties(cfg, abs_triples, weights, 1, True)[0])
 
     rows = parallel_map(one_member, fam.members, threads=threads)
     values = tuple(r[0] for r in rows)

@@ -3,8 +3,10 @@
 Three procedures share one shape: form truncations against a cutoff
 family, integrate, and watch the sequence settle onto the target value.
 
-* ``recover_additive``: Psi(box) from the truncated integrals of the
-  stabilized density, e_m = int_box [Psi']_{h_m}.
+* ``recover_additive``: Psi(box) on each of several boxes from the
+  truncated integrals of the stabilized density, e_m = int_box [Psi']_{h_m}.
+  ``member_passes`` meets each member with the density and the majorant
+  once; every box, tail and cover check reads that one pass.
 * ``recover_haar_coeff`` / ``recover_price_coeff``: one series
   coefficient from int [f]_{c h_m} conj(phi) with the threshold scaled
   by the sup norm of the basis function phi.
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 from .errors import ConfigMismatch
 from .grid import Cell, full_cube
-from .integration import HFamily, level_measure, tail_integral, truncate
+from .integration import HFamily, level_measure, truncate
 from .parallel import parallel_map
 from .reports import SCHEMA_VERSION, cell_json, encode_value, encode_values
 from .series import (
@@ -29,7 +31,7 @@ from .series import (
     haar_coeffs_from_price,
     price_coeffs_from_haar,
 )
-from .stepfn import StepFunction, leq_exact_or_float
+from .stepfn import StepFunction, box_weights, common_refinement, leq_exact_or_float, weighted_sum
 from .systems import haar_sup_sq, inner_product, tensor_haar_step, tensor_price_step
 
 
@@ -67,41 +69,53 @@ class AdditiveRecoveryReport:
         }
 
 
-def recover_additive(af: AdditiveFn, fam: HFamily, box: Cell | None = None,
-                     tol: float = 1e-9, threads: int = 1) -> AdditiveRecoveryReport:
-    """Recover Psi(box) from truncated integrals of the density.
+def member_passes(af: AdditiveFn, fam: HFamily, boxes, threads: int = 1) -> list:
+    """One pass per member h, in one pool: h truncates the density once
+    and meets the majorant once, and every box is weighed from those two
+    refinements.  Each pass is (estimates, tails, excess): int_box [Psi']_h
+    and int_{box, Psi* > h} h per box, and the cells where Psi* > h."""
+    if af.cfg != fam.cfg:
+        raise ConfigMismatch("function and family live on different grids")
+    cfg, deriv, maj = af.cfg, af.derivative(), af.majorant()
+    for box in boxes:
+        box.validate(cfg)
 
-    The report carries the whole estimate sequence, the per-member
+    def one_member(h: StepFunction):
+        trunc = truncate(deriv, h)
+        excess = [(c, hv) for c, sv, hv in common_refinement(maj, h)
+                  if not leq_exact_or_float(sv, hv)]
+        cells, values = [c for c, _ in excess], [hv for _, hv in excess]
+        return (tuple(trunc.integral(box) for box in boxes),
+                tuple(weighted_sum(cfg, values, box_weights(cfg, cells, box)) for box in boxes),
+                tuple(cells))
+
+    return parallel_map(one_member, fam.members, threads=threads)
+
+
+def additive_reports(af: AdditiveFn, fam: HFamily, boxes, passes, tol: float = 1e-9) -> tuple:
+    """One AdditiveRecoveryReport per box, read from the member passes over `boxes`."""
+    reports = []
+    for i, box in enumerate(boxes):
+        reference, estimates = af.value_on(box), tuple(est[i] for est, _, _ in passes)
+        errors = tuple(abs(complex(e) - complex(reference)) for e in estimates)
+        reports.append(AdditiveRecoveryReport(box, estimates, reference, errors,
+                                              tuple(tails[i] for _, tails, _ in passes),
+                                              tol, fam.report.passes))
+    return tuple(reports)
+
+
+def recover_additive(af: AdditiveFn, fam: HFamily, boxes=None, tol: float = 1e-9,
+                     threads: int = 1) -> tuple[AdditiveRecoveryReport, ...]:
+    """Recover Psi(box) from truncated integrals of the density, one report
+    per box (default: the whole cube), from one pass per member.
+
+    Each report carries the whole estimate sequence, the per-member
     hypothesis tails int_{Psi* > h_m} h_m over the box, and a flag from
     the family's own (h1)-(h3) check (recorded, never raised: a family
     that fails its check is exactly what a counterexample run feeds in).
     """
-    if af.cfg != fam.cfg:
-        raise ConfigMismatch("function and family live on different grids")
-    box = box if box is not None else full_cube(af.cfg.dim)
-    box.validate(af.cfg)
-    deriv = af.derivative()
-    maj = af.majorant()
-    reference = af.value_on(box)
-
-    def one_member(h: StepFunction):
-        est = truncate(deriv, h).integral(box)
-        tail = tail_integral(maj, h, alpha=1, strict=True, box=box)
-        return est, tail
-
-    rows = parallel_map(one_member, fam.members, threads=threads)
-    estimates = tuple(r[0] for r in rows)
-    tails = tuple(r[1] for r in rows)
-    errors = tuple(abs(complex(e) - complex(reference)) for e in estimates)
-    return AdditiveRecoveryReport(
-        box=box,
-        estimates=estimates,
-        reference=reference,
-        errors=errors,
-        hypothesis_tails=tails,
-        tol=tol,
-        family_ok=fam.report.passes,
-    )
+    boxes = tuple(boxes) if boxes is not None else (full_cube(af.cfg.dim),)
+    return additive_reports(af, fam, boxes, member_passes(af, fam, boxes, threads), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +271,13 @@ class TailConditionReport:
             "window_start": self.window_start,
         }
 
+    @classmethod
+    def from_tails(cls, box: Cell, tails: tuple, tol: float) -> "TailConditionReport":
+        start = (2 * len(tails)) // 3
+        window = tails[start:]
+        monotone = all(leq_exact_or_float(b, a) for a, b in zip(window, window[1:]))
+        return cls(box=box, tails=tails, tol=tol, window_start=start, window_monotone=monotone)
+
 
 def tail_condition_check(af: AdditiveFn, fam: HFamily, box: Cell | None = None,
                          tol: float = 1e-9, threads: int = 1) -> TailConditionReport:
@@ -267,22 +288,5 @@ def tail_condition_check(af: AdditiveFn, fam: HFamily, box: Cell | None = None,
     final third of the sequence is nonincreasing.
     """
     box = box if box is not None else full_cube(af.cfg.dim)
-    box.validate(af.cfg)
-    maj = af.majorant()
-
-    def one_member(h: StepFunction):
-        return tail_integral(maj, h, alpha=1, strict=True, box=box)
-
-    tails = tuple(parallel_map(one_member, fam.members, threads=threads))
-    start = (2 * len(tails)) // 3
-    window = tails[start:]
-    monotone = all(
-        leq_exact_or_float(b, a) for a, b in zip(window, window[1:])
-    )
-    return TailConditionReport(
-        box=box,
-        tails=tails,
-        tol=tol,
-        window_start=start,
-        window_monotone=monotone,
-    )
+    passes = member_passes(af, fam, (box,), threads=threads)
+    return TailConditionReport.from_tails(box, tuple(tails[0] for _, tails, _ in passes), tol)

@@ -77,6 +77,7 @@ class CoeffMap:
             cleaned[nvec] = value
         self._entries = dict(sorted(cleaned.items()))
         self._check_guard()
+        self._terms = {}
 
     def _check_guard(self):
         """Refuse series whose exact values could exceed 2**52.
@@ -116,6 +117,15 @@ class CoeffMap:
             return 0
         return max(_index_block(self.cfg, nvec) for nvec in self._entries)
 
+    def term(self, nvec) -> StepFunction:
+        """The entry at `nvec` times its basis function, from its system's
+        term builder, built once per map."""
+        if nvec not in self._terms:
+            coeff = self._entries[nvec]
+            self._terms[nvec] = (add_haar_term(StepFunction.constant(self.cfg, 0), nvec, coeff)
+                                 if self.mode == "haar" else price_term(self.cfg, nvec, coeff))
+        return self._terms[nvec]
+
     @cached_property
     def _haar_bands(self) -> tuple[StepFunction, ...]:
         """S_k for k = 0..R as sparse step functions (Haar mode), built once
@@ -148,16 +158,14 @@ def partial_sum(coeffs: CoeffMap, N: int) -> StepFunction:
 
     Includes exactly the terms whose every per-dimension index is below
     that dimension's rank-N modulus; for N >= stabilization_rank this is
-    the full sum.  Each term comes from its system's term builder and is
+    the full sum.  Each term (``CoeffMap.term``, built once per map) is
     added cell by cell, in the map's sorted order.
     """
     cfg, ranks = coeffs.cfg, (N,) * coeffs.cfg.dim
     vals = [0] * prod(uniform_sizes(cfg, ranks))
-    for nvec, coeff in coeffs.items():
+    for nvec in coeffs.support():
         if _index_block(cfg, nvec) <= N:
-            term = (add_haar_term(StepFunction.constant(cfg, 0), nvec, coeff)
-                    if coeffs.mode == "haar" else price_term(cfg, nvec, coeff))
-            vals = [a + b for a, b in zip(vals, term.uniform_values(ranks))]
+            vals = [a + b for a, b in zip(vals, coeffs.term(nvec).uniform_values(ranks))]
     return StepFunction.on_grid(cfg, ranks, vals)
 
 
@@ -176,7 +184,8 @@ def series_majorant(coeffs: CoeffMap) -> StepFunction:
     """sup over N of |S_N|: the running maximum of |S_k| for k = 0..R.
 
     Equals, cell by cell at rank R, the maximum of |Psi(I)| / mu(I) over
-    the chain of uniform-rank ancestors I of the cell.
+    the chain of uniform-rank ancestors I of the cell.  Price mode sums
+    the map's cached terms at every rank, so each term is built once.
     """
     if coeffs.mode == "price":
         sums = (partial_sum(coeffs, k) for k in range(coeffs.stabilization_rank + 1))

@@ -257,6 +257,14 @@ def haar_sup_sq(cfg: GridConfig, nvec) -> int:
     return prod(seq.modulus(block_of_index(seq, n) - 1) for seq, n in zip(cfg.seqs, nvec) if n)
 
 
+def term_cells(cfg: GridConfig, nvec, mode: str) -> int:
+    """The most cells one term can span, known before it is built: per
+    dimension, a Haar term of block k + 1 has at most sum_{t<=k}(p_t - 1)
+    zero siblings and p_{k+1} pieces; a Price term of block t has m_t cells."""
+    blocks = [(seq, block_of_index(seq, n)) for seq, n in zip(cfg.seqs, nvec)]
+    return prod(seq.modulus(t) if mode == "price" else sum(seq.p[:t]) - t + 1 for seq, t in blocks)
+
+
 def add_haar_term(sf: StepFunction, nvec, coeff) -> StepFunction:
     """sf + coeff * chi_{n_1} x ... x chi_{n_d}, refined only where the term lives.
 
@@ -269,9 +277,7 @@ def add_haar_term(sf: StepFunction, nvec, coeff) -> StepFunction:
     """
     cfg = sf.cfg
     decoded = [None if n == 0 else haar_decode(seq, n) for seq, n in zip(cfg.seqs, nvec)]
-    # per dimension at most sum_{t<=k}(p_t - 1) zero siblings and p_{k+1} pieces
-    size = prod(1 if d is None else sum(seq.p[:d[0]]) - d[0] + seq.p[d[0]]
-                for seq, d in zip(cfg.seqs, decoded))
+    size = term_cells(cfg, nvec, "haar")
     if size > MAX_UNIFORM_CELLS:
         raise ValueError(
             f"Haar term {tuple(nvec)} spans up to {size} cells, "

@@ -344,7 +344,7 @@ def _run_c5(threads):
         for _ in range(20):
             rank = rng.randint(0, 5)
             box = Cell((rank,), (rng.randrange(2 ** rank),))
-            rep = recover_additive(af, fam, box=box, threads=threads)
+            rep = recover_additive(af, fam, boxes=(box,), threads=threads)[0]
             worst = max(worst, rep.errors[-1])
             start = (2 * len(rep.errors)) // 3
             for i in range(start, len(rep.errors) - 1):
@@ -406,7 +406,7 @@ def _run_c7(threads):
     recoveries = []
     rec_ok = True
     for box in (full_cube(1), Cell((1,), (0,))):
-        rep = recover_additive(af, fam, box=box, threads=threads)
+        rep = recover_additive(af, fam, boxes=(box,), threads=threads)[0]
         exact_match = rep.estimates[-1] == rep.reference
         rec_ok = rec_ok and rep.errors[-1] <= 1e-9 and exact_match
         recoveries.append(

@@ -599,6 +599,46 @@ def test_a_range_longer_than_the_cell_cap_is_refused(tmp_path, capsys, monkeypat
     assert main(["systems", "--grid", grid, "--haar", "8..15", "--out", str(out)]) == 0
 
 
+def test_the_tables_of_one_call_are_capped_together(tmp_path, capsys, monkeypatch):
+    import padicah.systems
+
+    # --price 0..1023 on a depth-11 grid is 1024 tables of 699051 cells in
+    # all (28.8 MB of JSON, 23 s to write); each table and the range pass
+    # their own checks, so only the total can refuse them, here under a
+    # lowered cap that stands in for a deeper grid
+    monkeypatch.setattr(padicah.systems, "MAX_UNIFORM_CELLS", 1 << 16)
+    grid = _write(tmp_path / "g.json", _grid_doc(11))
+    out = str(tmp_path / "o.json")
+    _refused_before_work(capsys, ["systems", "--grid", grid, "--price", "0..1023", "--out", out],
+                         "--price tables", "699051 cells", "65536 cap")
+    _refused_before_work(capsys, ["systems", "--grid", grid, "--haar", "0..1023", "--price", "0..1023",
+                                  "--out", out], "--haar and --price tables", "65536 cap")
+    assert main(["systems", "--grid", grid, "--price", "0..63", "--out", out]) == 0
+
+
+def test_the_total_table_cap_holds_at_its_default(tmp_path, capsys):
+    # 4096 Price tables of at most 4096 cells each, 11184811 cells in all
+    grid = _write(tmp_path / "g.json", _grid_doc(13))
+    _refused_before_work(capsys, ["systems", "--grid", grid, "--price", "0..4095"],
+                         "--price tables", "11184811 cells", "4194304 cap")
+
+
+COUNTEREXAMPLE_SHA256 = Path(__file__).resolve().parents[1] / "perfbench" / "counterexample_sha256.json"
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_counterexample_reports_match_the_recorded_sha256(tmp_path, threads):
+    recorded = json.loads(COUNTEREXAMPLE_SHA256.read_text(encoding="utf-8"))
+    keys = [key for key in recorded if key.split(":")[0] in ("5", "6")]
+    assert len(keys) == 14
+    out = tmp_path / "ce.json"
+    for key in keys:
+        nmax, j_arg = key.split(":")
+        assert main(["counterexample", "--nmax", nmax, "--j", j_arg, "--threads", threads,
+                     "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == recorded[key], key
+
+
 def test_unparsable_flags_are_named(tmp_path, capsys):
     series = _write(tmp_path / "s.json", _series_doc())
     family = _write(tmp_path / "f.json", _family_doc())

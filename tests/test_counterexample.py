@@ -316,3 +316,19 @@ def test_end_to_end_json_document():
     assert doc["schema_version"] == 1
     assert len(doc["failures"]) == 1
     assert len(doc["recoveries"]) == 5
+
+
+def test_end_to_end_refines_each_member_once_per_function(monkeypatch):
+    """Each of the 9 members meets the density once and the majorant once
+    (18 refinements); the rest are the majorant's running maximum over the
+    band sums S_0..S_37 (37) and the family check's 8 monotonicity and 9
+    partition sweeps.  Without the shared pass the count was 171."""
+    from padicah import stepfn
+
+    calls = []
+    refine = stepfn.common_refinement
+    monkeypatch.setattr(stepfn, "common_refinement", lambda f, g: calls.append(1) or refine(f, g))
+    for module in ("integration", "recovery"):
+        monkeypatch.setattr(f"padicah.{module}.common_refinement", stepfn.common_refinement)
+    end_to_end(ExampleSpec(8, j_values=(1, 3)))
+    assert len(calls) == 72

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padicah import (
     AdditiveFn,
@@ -20,7 +22,10 @@ from padicah import (
     recover_price_coeff,
     stabilized_sum,
     tail_condition_check,
+    tail_integral,
+    truncate,
 )
+from strategies import haar_series, split
 
 
 def _dyadic(depth):
@@ -38,7 +43,7 @@ def test_recover_additive_exact_series():
     cm = CoeffMap(cfg, {(1,): 2, (3,): -1, (6,): 1}, "haar")
     af = AdditiveFn.from_series(cm)
     fam = _const_family(cfg, 1, 5)
-    rep = recover_additive(af, fam, box=Cell((1,), (0,)))
+    rep = recover_additive(af, fam, boxes=(Cell((1,), (0,)),))[0]
     assert rep.reference == 1
     assert rep.estimates[-1] == 1
     assert rep.errors[-1] == 0.0
@@ -53,7 +58,7 @@ def test_recover_additive_truncation_actually_bites():
     af = AdditiveFn.from_series(cm)
     fam = _const_family(cfg, 1, 6)
     box = full_cube(1)
-    rep = recover_additive(af, fam, box=box)
+    rep = recover_additive(af, fam, boxes=(box,))[0]
     assert rep.errors[0] > 0
     assert rep.errors[-1] == 0.0
     assert rep.estimates[-1] == af.value_on(box)
@@ -71,7 +76,7 @@ def test_recover_additive_estimates_settle_on_every_cell():
         af = AdditiveFn.from_series(CoeffMap(cfg, entries, "haar"))
         rank = rng.randint(0, 3)
         box = Cell((rank,), (rng.randrange(2 ** rank),))
-        rep = recover_additive(af, fam, box=box)
+        rep = recover_additive(af, fam, boxes=(box,))[0]
         assert rep.passes
         assert abs(complex(rep.estimates[-1]) - complex(af.value_on(box))) < 1e-12
 
@@ -82,7 +87,7 @@ def test_recover_additive_flags_bad_family():
     broken = HFamily.from_members(
         [StepFunction.constant(cfg, 4), StepFunction.on_grid(cfg, (1,), [3, 5])]
     )
-    rep = recover_additive(af, broken)
+    rep = recover_additive(af, broken)[0]
     assert not rep.family_ok
     assert not rep.passes
 
@@ -198,6 +203,46 @@ def test_recover_additive_tolerance_is_honored():
     af = AdditiveFn.from_series(cm)
     # family too short for the large coefficient to come back
     fam = _const_family(cfg, 1, 2)
-    rep = recover_additive(af, fam)
+    rep = recover_additive(af, fam)[0]
     assert rep.errors[-1] > rep.tol
     assert not rep.passes
+
+
+@st.composite
+def _series_family_boxes(draw):
+    """A Haar or Price map (integer or complex coefficients), one to three
+    cutoff members on random tilings with exact or float values, and one
+    to five mixed-rank boxes."""
+    coeffs = draw(haar_series(max_cells=256).filter(lambda c: c.cfg.dim <= 2))
+    cfg = coeffs.cfg
+    coeffs = CoeffMap(cfg, dict(coeffs.items()), draw(st.sampled_from(("haar", "price"))))
+    level = st.one_of(st.integers(0, 6), st.fractions(0, 6, max_denominator=4), st.floats(0, 6))
+    members = [StepFunction.from_pieces(cfg, [(c, draw(level)) for c in split(draw, cfg)])
+               for _ in range(draw(st.integers(1, 3)))]
+    boxes = []
+    for _ in range(draw(st.integers(1, 5))):
+        ranks = [draw(st.integers(0, seq.depth)) for seq in cfg.seqs]
+        boxes.append(Cell(ranks, [draw(st.integers(0, seq.modulus(k) - 1))
+                                  for seq, k in zip(cfg.seqs, ranks)]))
+    return AdditiveFn.from_series(coeffs), HFamily.from_members(members), boxes
+
+
+@settings(max_examples=60)
+@given(_series_family_boxes())
+def test_shared_member_pass_matches_one_recovery_per_box(case):
+    """Every box read from one pass per member gives, float bits included,
+    what a separate truncation and tail per box and member gives."""
+    af, fam, boxes = case
+    deriv, maj = af.derivative(), af.majorant()
+    reports = recover_additive(af, fam, boxes=boxes, threads=2)
+    assert len(reports) == len(boxes)
+    for box, rep in zip(boxes, reports):
+        reference = af.value_on(box)
+        estimates = tuple(truncate(deriv, h).integral(box) for h in fam.members)
+        tails = tuple(tail_integral(maj, h, alpha=1, strict=True, box=box) for h in fam.members)
+        errors = tuple(abs(complex(e) - complex(reference)) for e in estimates)
+        assert rep.box == box
+        assert repr(rep.reference) == repr(reference)
+        assert repr(rep.estimates) == repr(estimates)
+        assert repr(rep.hypothesis_tails) == repr(tails)
+        assert repr(rep.errors) == repr(errors)

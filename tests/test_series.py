@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from padicah import (
     CoeffMap,
     ConfigMismatch,
     GridConfig,
+    StepFunction,
     UnitValue,
     ValueGuardError,
     coeffs_from_json_dict,
@@ -26,7 +28,8 @@ from padicah import (
     series_majorant,
     stabilized_sum,
 )
-from padicah.systems import block_of_index
+from padicah.stepfn import pointwise_max
+from padicah.systems import block_of_index, price_term
 from strategies import haar_series
 
 
@@ -436,3 +439,32 @@ def test_price_unit_value_coefficient_stays_exact_in_partial_sum():
     assert (values[1], values[3]) == (-1, 1)
     assert type(values[1]) is int and type(values[3]) is int
     assert all(isinstance(v, complex) for v in (values[0], values[2]))
+
+
+def _rebuilt_partial_sum(coeffs, N):
+    """S_N with every term built afresh: the sum partial_sum must match."""
+    cfg, ranks = coeffs.cfg, (N,) * coeffs.cfg.dim
+    vals = [0] * len(StepFunction.constant(cfg, 0).uniform_values(ranks))
+    for nvec, coeff in coeffs.items():
+        if max(block_of_index(seq, n) for seq, n in zip(cfg.seqs, nvec)) <= N:
+            vals = [a + b for a, b in zip(vals, price_term(cfg, nvec, coeff).uniform_values(ranks))]
+    return StepFunction.on_grid(cfg, ranks, vals)
+
+
+def test_price_majorant_builds_each_term_once(monkeypatch):
+    import padicah.series
+
+    cfg = GridConfig.from_lists([[2] * 6])
+    rng = random.Random(608)
+    entries = {(k,): rng.choice((-3, -2, -1, 1, 2, 3, complex(1, -2), 0.5))
+               for k in (1, 3, 6, 12, 25, 50)}
+    calls = []
+    monkeypatch.setattr(padicah.series, "price_term",
+                        lambda *args: calls.append(args[1]) or price_term(*args))
+    af = AdditiveFn.from_series(CoeffMap(cfg, entries, "price"))
+    majorant, density = af.majorant(), af.derivative()
+    assert sorted(calls) == sorted(entries)  # 27 when every rank rebuilt its own terms
+    coeffs = CoeffMap(cfg, entries, "price")
+    sums = [_rebuilt_partial_sum(coeffs, k) for k in range(coeffs.stabilization_rank + 1)]
+    assert repr(density) == repr(sums[-1])
+    assert repr(majorant) == repr(reduce(pointwise_max, (sf.abs() for sf in sums)))
