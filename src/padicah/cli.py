@@ -60,30 +60,29 @@ def _int(text: str, flag: str) -> int:
 def _parse_indices(raw: str, cfg: GridConfig, flag: str) -> list[tuple[int, ...]]:
     """Index lists: "3", "0,2,5", "0..7" (1-D), or "1:2,0:3" for d >= 2.
 
-    A range must lie within the grid's m_K flat indices and list at most
-    MAX_UNIFORM_CELLS of them; both are checked before it is expanded.
+    Every index, range end and vector entry must lie within its
+    dimension's m_K flat indices, and a range may list at most
+    MAX_UNIFORM_CELLS of them; all is checked before a range is expanded.
     """
     dim, out = cfg.dim, []
+    bounds = [seq.modulus(seq.depth) for seq in cfg.seqs]
+    shape = ":".join(f"0..{bound - 1}" for bound in bounds)
     for part in raw.split(","):
         part = part.strip()
         if ".." in part:
             if dim != 1:
                 raise ValueError(f"{flag}: index ranges like 0..7 need a one-dimensional grid")
             lo, hi = (_int(x, flag) for x in part.split("..", 1))
-            bound = cfg.seqs[0].modulus(cfg.seqs[0].depth)
-            if not 0 <= lo <= hi < bound or hi - lo >= MAX_UNIFORM_CELLS:
+            if not 0 <= lo <= hi < bounds[0] or hi - lo >= MAX_UNIFORM_CELLS:
                 raise ValueError(f"{flag} range {part!r} must lie within the grid's flat "
-                                 f"indices 0..{bound - 1} and list at most {MAX_UNIFORM_CELLS}")
+                                 f"indices 0..{bounds[0] - 1} and list at most {MAX_UNIFORM_CELLS}")
             out.extend((n,) for n in range(lo, hi + 1))
-        elif ":" in part:
-            vec = tuple(_int(x, flag) for x in part.split(":"))
-            if len(vec) != dim:
-                raise ValueError(f"index {part!r} has {len(vec)} entries, grid has {dim}")
-            out.append(vec)
-        else:
-            if dim != 1:
-                raise ValueError(f"index {part!r} has 1 entry, grid has {dim}; use a:b form")
-            out.append((_int(part, flag),))
+            continue
+        vec = tuple(_int(x, flag) for x in part.split(":"))
+        if len(vec) != dim or not all(0 <= n < bound for n, bound in zip(vec, bounds)):
+            raise ValueError(f"{flag} {part!r} must lie within the grid's flat indices {shape}, "
+                             "one per dimension")
+        out.append(vec)
     if not out:
         raise ValueError(f"{flag}: empty index list")
     return out
@@ -96,15 +95,18 @@ def _parse_box(raw: str, cfg: GridConfig) -> Cell:
     ranks, indices = [], []
     parts = raw.split(",")
     if len(parts) != cfg.dim:
-        raise ValueError(f"box {raw!r} has {len(parts)} dimensions, grid has {cfg.dim}")
+        raise ValueError(f"--box {raw!r} has {len(parts)} dimensions, grid has {cfg.dim}")
     for part in parts:
         bits = part.strip().split(":")
         if len(bits) != 2:
-            raise ValueError(f"box component {part!r} is not rank:index")
+            raise ValueError(f"--box component {part!r} is not rank:index")
         ranks.append(_int(bits[0], "--box"))
         indices.append(_int(bits[1], "--box"))
     cell = Cell(tuple(ranks), tuple(indices))
-    cell.validate(cfg)
+    try:
+        cell.validate(cfg)
+    except ValueError as exc:
+        raise ValueError(f"--box {raw!r}: {exc}") from None
     return cell
 
 

@@ -58,15 +58,21 @@ def truncate(f: StepFunction, h: StepFunction, scale_sq=1) -> StepFunction:
     integer ||chi_n||_inf^2.  Mixed exact/float comparisons fall back to
     doubles with a 1e-12 relative guard band; ties keep the value.
     """
+    triples = common_refinement(f, cutoff_thresholds(h, scale_sq))
+    return StepFunction(f.cfg, tuple(c for c, _, _ in triples),
+                        truncated_values((fv, t) for _, fv, t in triples))
+
+
+def cutoff_thresholds(h: StepFunction, scale_sq=1) -> StepFunction:
+    """scale_sq * h^2 on h's own cells, once per cutoff cell: truncation keeps
+    f where ``leq_with_guard(|f|^2, threshold)``, the one rule for "kept"."""
     _require_cutoff_values(h)
-    triples = common_refinement(f, h)
-    return StepFunction(f.cfg, tuple(c for c, _, _ in triples), truncated_values(triples, scale_sq))
+    return h.map_values(lambda v: scale_sq * v * v)
 
 
-def truncated_values(triples, scale_sq=1) -> tuple:
-    """The values of [f]_h on refinement triples (cell, f value, h value)."""
-    return tuple(fv if leq_with_guard(value_abs_sq(fv), scale_sq * hv * hv) else 0
-                 for _, fv, hv in triples)
+def truncated_values(pairs) -> tuple:
+    """The values of [f]_h from (f value, threshold) pairs on a refinement."""
+    return tuple(fv if leq_with_guard(value_abs_sq(fv), t) else 0 for fv, t in pairs)
 
 
 def tail_integral(g: StepFunction, h: StepFunction, alpha=1, strict: bool = True,
@@ -335,13 +341,14 @@ def ah_integral(f: StepFunction, fam: HFamily, box: Cell | None = None,
     cfg = f.cfg
 
     def one_member(h: StepFunction):
-        # |f| has f's partition, so one refinement serves the truncation and every tail
-        _require_cutoff_values(h)
-        triples = common_refinement(f, h)
+        # |f| has f's partition, so one refinement against (h, h^2) serves truncation and tails
+        paired = StepFunction(cfg, h.cells, tuple(zip(h.values, cutoff_thresholds(h).values)))
+        triples = common_refinement(f, paired)
         weights = box_weights(cfg, [c for c, _, _ in triples], box)
-        abs_triples = [(c, value_abs(fv), hv) for c, fv, hv in triples]
+        abs_triples = [(c, value_abs(fv), hv) for c, fv, (hv, _) in triples]
         adm = [_tail_and_ties(cfg, abs_triples, weights, alpha, False) for alpha in alphas]
-        return (weighted_sum(cfg, truncated_values(triples), weights), [t for t, _ in adm],
+        kept = truncated_values((fv, t) for _, fv, (_, t) in triples)
+        return (weighted_sum(cfg, kept, weights), [t for t, _ in adm],
                 [tie for _, tie in adm], _tail_and_ties(cfg, abs_triples, weights, 1, True)[0])
 
     rows = parallel_map(one_member, fam.members, threads=threads)

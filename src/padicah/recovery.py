@@ -9,7 +9,9 @@ family, integrate, and watch the sequence settle onto the target value.
   once; every box, tail and cover check reads that one pass.
 * ``recover_haar_coeff`` / ``recover_price_coeff``: one series
   coefficient from int [f]_{c h_m} conj(phi) with the threshold scaled
-  by the sup norm of the basis function phi.
+  by the sup norm of the basis function phi.  The density meets phi in
+  one refinement, which carries f, |f|^2 and conj(phi) per cell; each
+  member then meets that product once, against its squared thresholds.
 
 The condition checks quantify when the procedure is entitled to work:
 ``lambda_condition_check`` tabulates lambda * mu{Psi* > lambda} (whose
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 from .errors import ConfigMismatch
 from .grid import Cell, full_cube
-from .integration import HFamily, level_measure, truncate
+from .integration import HFamily, cutoff_thresholds, level_measure, truncate
 from .parallel import parallel_map
 from .reports import SCHEMA_VERSION, cell_json, encode_value, encode_values
 from .series import (
@@ -31,8 +33,9 @@ from .series import (
     haar_coeffs_from_price,
     price_coeffs_from_haar,
 )
-from .stepfn import StepFunction, box_weights, common_refinement, leq_exact_or_float, weighted_sum
-from .systems import haar_sup_sq, inner_product, tensor_haar_step, tensor_price_step
+from .stepfn import (StepFunction, box_weights, common_refinement, leq_exact_or_float,
+                     leq_with_guard, value_abs_sq, weighted_sum)
+from .systems import conj, haar_sup_sq, tensor_haar_step, tensor_price_step
 
 
 def _final_error(estimates, reference) -> float:
@@ -157,11 +160,19 @@ def _recover_coeff(f: StepFunction, fam: HFamily, basis: StepFunction,
                    threads: int) -> CoeffRecoveryReport:
     if f.cfg != fam.cfg:
         raise ConfigMismatch("function and family live on different grids")
+    # f x basis x member is one cell list in either order: each sum is <[f]_h, basis> termwise
+    cfg, triples = f.cfg, common_refinement(f, basis)
+    product = StepFunction(cfg, tuple(c for c, _, _ in triples),
+                           tuple((fv, value_abs_sq(fv), conj(bv)) for _, fv, bv in triples))
     if reference is None:
-        reference = inner_product(f, basis)
+        reference = weighted_sum(cfg, [fv * cb for fv, _, cb in product.values],
+                                 box_weights(cfg, product.cells))
 
     def one_member(h: StepFunction):
-        return inner_product(truncate(f, h, scale_sq=scale_sq), basis)
+        pieces = common_refinement(product, cutoff_thresholds(h, scale_sq))
+        return weighted_sum(cfg, [(fv if leq_with_guard(fsq, t) else 0) * cb
+                                  for _, (fv, fsq, cb), t in pieces],
+                            box_weights(cfg, [c for c, _, _ in pieces]))
 
     estimates = tuple(parallel_map(one_member, fam.members, threads=threads))
     return CoeffRecoveryReport(

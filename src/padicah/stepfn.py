@@ -203,14 +203,14 @@ def box_weights(cfg: GridConfig, cells, box: Cell | None = None) -> list:
 def weighted_sum(cfg: GridConfig, values, weights):
     """sum of v * w / unit over the cells with a weight (see box_weights).
     Exact values sum in integers into one Fraction; with any float or
-    complex value, each term is v * mu for mu = w / unit (a double beside
-    a float or complex v, a Fraction beside an exact one), by ``tree_sum``."""
+    complex value, ``tree_sum`` adds v * (w / unit) for a float or complex
+    v, Fraction(v * w, unit) for an exact one, and the int 0 (same bits) for 0."""
     unit = weight_unit(cfg)
     pairs = [(v, w) for v, w in zip(values, weights) if w is not None]
     if all(isinstance(v, _EXACT_TYPES) for v, _ in pairs):
         return Fraction(sum(v * w for v, w in pairs), unit)
-    return tree_sum([Fraction(v * w, unit) if isinstance(v, _EXACT_TYPES) else v * (w / unit)
-                     for v, w in pairs], zero=Fraction(0))
+    return tree_sum([v * (w / unit) if not isinstance(v, _EXACT_TYPES)
+                     else Fraction(v * w, unit) if v else 0 for v, w in pairs], zero=Fraction(0))
 
 
 def _expand(sf: StepFunction, rank_vec: tuple[int, ...]) -> list:
@@ -236,12 +236,17 @@ def common_refinement(f: StepFunction, g: StepFunction):
     """(cell, f_value, g_value) triples on the coarsest common refinement.
 
     The cells are the nonempty intersections of a cell of f with a cell
-    of g, in canonical order; both partitions must tile the cube.
+    of g, in canonical order; both partitions must tile the cube.  A
+    one-cell side (a constant) leaves the other side's cells as they are.
     """
     if f.cfg != g.cfg:
         raise ConfigMismatch("step functions live on different grids")
     if f.cells == g.cells:
         return list(zip(f.cells, f.values, g.values))
+    if len(g.cells) == 1:
+        return [(c, fv, g.values[0]) for c, fv in zip(f.cells, f.values)]
+    if len(f.cells) == 1:
+        return [(c, f.values[0], gv) for c, gv in zip(g.cells, g.values)]
     if f.dim == 1:
         return _merge_1d(f, g)
     pairs = []

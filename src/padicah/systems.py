@@ -362,13 +362,13 @@ def tensor_price_step(cfg: GridConfig, kvec) -> StepFunction:
     return price_term(cfg, kvec, UnitValue.ONE)
 
 
-def _conj(v):
+def conj(v):
     return v.conjugate() if isinstance(v, complex) else v
 
 
 def inner_product(f: StepFunction, g: StepFunction):
     """<f, g> = integral of f * conj(g) over the common refinement."""
-    return zip_with(f, g, lambda a, b: a * _conj(b)).integral()
+    return zip_with(f, g, lambda a, b: a * conj(b)).integral()
 
 
 # ---------------------------------------------------------------------------

@@ -679,3 +679,35 @@ def test_series_file_repeating_an_index_is_refused(tmp_path, capsys):
     _refused_before_work(capsys, ["recover", "--mode", "haar", "--series", series,
                                   "--family", family, "--index", "1"],
                          "entries[2] repeats index [1]")
+
+
+def test_a_haar_index_beyond_the_grid_names_the_flag(tmp_path, capsys):
+    series = _write(tmp_path / "s.json", _series_doc(3))
+    family = _write(tmp_path / "f.json", _family_doc(3))
+    _refused_before_work(capsys, ["recover", "--series", series, "--family", family,
+                                  "--mode", "haar", "--index", "8"],
+                         "--index '8'", "flat indices 0..7")
+
+
+def test_a_negative_systems_index_names_the_flag(tmp_path, capsys):
+    grid = _write(tmp_path / "g.json", _grid_doc(3))
+    _refused_before_work(capsys, ["systems", "--grid", grid, "--haar=-2"],
+                         "--haar '-2'", "flat indices 0..7")
+
+
+def test_a_negative_haar_recovery_index_names_the_accepted_range(tmp_path, capsys):
+    # index 0 (the constant) is a valid Haar recovery, so the range starts at 0
+    series = _write(tmp_path / "s.json", _series_doc())
+    family = _write(tmp_path / "f.json", _family_doc())
+    err = _refused_before_work(capsys, ["recover", "--series", series, "--family", family,
+                                        "--mode", "haar", "--index=-1"],
+                               "--index '-1'", "flat indices 0..63")
+    assert "0 is the constant" not in err
+
+
+def test_a_box_rank_beyond_the_grid_names_the_flag(tmp_path, capsys):
+    grid = _write(tmp_path / "g.json", _grid_doc(3))
+    _refused_before_work(capsys, ["decompose", "--grid", grid, "--box", "4:0"],
+                         "--box '4:0'", "rank 4 outside [0, 3]")
+    _refused_before_work(capsys, ["decompose", "--grid", grid, "--box", "2:4"],
+                         "--box '2:4'", "index 4 outside [0, 4)")

@@ -15,6 +15,7 @@ from padicah import (
     full_cube,
     gamma_path_reference,
     haar_coeffs_from_price,
+    inner_product,
     lambda_condition_check,
     price_coeffs_from_haar,
     recover_additive,
@@ -23,9 +24,13 @@ from padicah import (
     stabilized_sum,
     tail_condition_check,
     tail_integral,
+    tensor_haar_step,
+    tensor_price_step,
     truncate,
 )
-from strategies import haar_series, split
+from padicah.grid import refine_cell
+from padicah.systems import haar_sup_sq
+from strategies import grids, haar_indices, haar_series, split
 
 
 def _dyadic(depth):
@@ -246,3 +251,70 @@ def test_shared_member_pass_matches_one_recovery_per_box(case):
         assert repr(rep.estimates) == repr(estimates)
         assert repr(rep.hypothesis_tails) == repr(tails)
         assert repr(rep.errors) == repr(errors)
+
+
+def _multi_cell_tiling(draw, cfg):
+    """A random tiling of the cube with at least two cells."""
+    cells = split(draw, cfg)
+    return cells if len(cells) > 1 else list(refine_cell(cfg, cells[0], 0))
+
+
+@st.composite
+def _coeff_recovery_cases(draw):
+    """A density on a random tiling with int, Fraction or complex values (or
+    all three), one to three multi-cell members on tilings of their own
+    with exact or float levels, and a Haar or Price index."""
+    cfg = draw(grids(max_cells=128))
+    exact = st.one_of(st.integers(-4, 4), st.fractions(-4, 4, max_denominator=6))
+    value = draw(st.sampled_from([
+        st.integers(-4, 4),
+        st.fractions(-4, 4, max_denominator=6),
+        st.builds(complex, st.floats(-4, 4), st.floats(-4, 4)),
+        st.one_of(exact, st.builds(complex, st.floats(-4, 4), st.floats(-4, 4))),
+    ]))
+    f = StepFunction.from_pieces(cfg, [(c, draw(value)) for c in _multi_cell_tiling(draw, cfg)])
+    level = st.one_of(st.integers(0, 6), st.fractions(0, 6, max_denominator=4), st.floats(0, 6))
+    members = [StepFunction.from_pieces(cfg, [(c, draw(level)) for c in _multi_cell_tiling(draw, cfg)])
+               for _ in range(draw(st.integers(1, 3)))]
+    return f, HFamily.from_members(members), draw(st.sampled_from(("haar", "price"))), \
+        draw(haar_indices(cfg)), draw(st.sampled_from((1, 2)))
+
+
+@settings(max_examples=80)
+@given(_coeff_recovery_cases())
+def test_one_pass_recovery_matches_a_truncation_per_member(case):
+    """The estimates read from one density-basis refinement equal, float
+    bits included, <[f]_{c h}, basis> built member by member; so does the
+    reference read from that refinement when none is given."""
+    f, fam, mode, index, threads = case
+    if mode == "haar":
+        basis, scale_sq = tensor_haar_step(f.cfg, index), haar_sup_sq(f.cfg, index)
+        rep = recover_haar_coeff(f, index, fam, threads=threads)
+    else:
+        basis, scale_sq = tensor_price_step(f.cfg, index), 1
+        rep = recover_price_coeff(f, index, fam, threads=threads)
+    estimates = tuple(inner_product(truncate(f, h, scale_sq), basis) for h in fam.members)
+    assert rep.scale_sq == scale_sq
+    assert repr(rep.estimates) == repr(estimates)
+    assert repr(rep.reference) == repr(inner_product(f, basis))
+
+
+def test_a_coefficient_recovery_refines_once_plus_once_per_member(monkeypatch):
+    """One refinement of the density against the basis, then one per
+    member; refining each member's truncation against the basis again
+    took two per member."""
+    from padicah import stepfn
+
+    cfg = GridConfig.from_lists([[2, 3, 2], [3, 2, 2]])
+    f = stabilized_sum(CoeffMap(cfg, {(1, 2): 2, (5, 0): Fraction(-3, 2), (0, 7): 1}, "haar"))
+    halves = refine_cell(cfg, full_cube(2), 0)
+    members = [StepFunction.constant(cfg, 1), StepFunction.from_pieces(cfg, zip(halves, (2, 3))),
+               StepFunction.constant(cfg, 4), StepFunction.from_pieces(cfg, zip(halves, (8, 5)))]
+    calls = []
+    refine = stepfn.common_refinement
+    monkeypatch.setattr(stepfn, "common_refinement", lambda a, b: calls.append(1) or refine(a, b))
+    for module in ("integration", "recovery"):
+        monkeypatch.setattr(f"padicah.{module}.common_refinement", stepfn.common_refinement)
+    rep = recover_haar_coeff(f, (5, 0), HFamily.from_members(members), reference=Fraction(-3, 2))
+    assert len(calls) == 1 + len(members)
+    assert rep.final_error < 1e-12

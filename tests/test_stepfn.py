@@ -57,6 +57,21 @@ def test_refinement_is_the_set_of_pairwise_intersections(pair):
     assert cells == sorted(cells, key=lambda c: c.sort_key(cfg))
 
 
+@pytest.mark.parametrize("lists", [[[2, 3, 2]], [[2, 3], [3, 2]]])
+def test_refinement_against_a_constant_keeps_the_other_cells_in_order(lists):
+    """A one-cell side, in either argument position, gives the other side's
+    cells as they are: in canonical order, each paired with the constant."""
+    cfg = GridConfig.from_lists(lists)
+    first = refine_cell(cfg, Cell((0,) * cfg.dim, (0,) * cfg.dim), 0)
+    cells = [*first[1:], *refine_cell(cfg, first[0], cfg.dim - 1)]
+    cells = [*cells[:-1], *refine_cell(cfg, cells[-1], 0)]
+    f = StepFunction.from_pieces(cfg, [(c, i) for i, c in enumerate(cells)])
+    const = StepFunction.constant(cfg, 7)
+    assert list(f.cells) == sorted(cells, key=lambda c: c.sort_key(cfg)) != cells
+    assert common_refinement(f, const) == [(c, v, 7) for c, v in zip(f.cells, f.values)]
+    assert common_refinement(const, f) == [(c, 7, v) for c, v in zip(f.cells, f.values)]
+
+
 def _pinwheel():
     """Five cells tiling the 3-cube where every dimension has a cell
     spanning the whole cube, so no cut along any dimension misses them."""

@@ -6,6 +6,7 @@ value, in type, and in the sign of a zero, for exact, float, complex and
 mixed values alike.
 """
 from fractions import Fraction
+from itertools import permutations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +15,7 @@ from padicah import (
     AdditiveFn,
     Cell,
     ExampleSpec,
+    GridConfig,
     StepFunction,
     common_refinement,
     full_cube,
@@ -24,7 +26,7 @@ from padicah import (
 )
 from padicah.counterexample import example_series, failure_window
 from padicah.parallel import tree_sum
-from padicah.stepfn import box_weights, is_exact, leq_exact_or_float, weight_unit
+from padicah.stepfn import box_weights, is_exact, leq_exact_or_float, weight_unit, weighted_sum
 from strategies import grids, split
 
 _FLOATS = st.floats(-4, 4, allow_nan=False)
@@ -149,3 +151,17 @@ def test_lambda_condition_check_matches_per_level_measures():
         rep = lambda_condition_check(af, lambdas, box=box)
         assert rep.measures == tuple(level_measure(af.majorant(), lam, box=box) for lam in lambdas)
         assert rep.products == tuple(lam * mu for lam, mu in zip(lambdas, rep.measures))
+
+
+def test_exact_zeros_add_the_bits_of_fraction_zero_terms():
+    """An exact zero beside floats adds as the int 0: the same value, type
+    and signed zeros as a Fraction(0, unit) term in the same tree place."""
+    cfg = GridConfig.from_lists([[2, 3]])
+    unit = weight_unit(cfg)
+    for values in ((0, -0.0, 0.5, Fraction(0)), (0, complex(-0.0, -0.0), -0.0, 1),
+                   (Fraction(0), -0.0, -0.0), (0, 0, complex(-0.0, 0.0), 2.5, Fraction(1, 3))):
+        for perm in permutations(values):  # not a set: -0.0 == 0 == Fraction(0)
+            weights = list(range(1, len(perm) + 1))
+            want = tree_sum([Fraction(v * w, unit) if is_exact(v) else v * (w / unit)
+                             for v, w in zip(perm, weights)], zero=Fraction(0))
+            _same(weighted_sum(cfg, perm, weights), want)
