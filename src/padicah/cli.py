@@ -18,6 +18,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from functools import lru_cache
 from math import isfinite
@@ -39,10 +40,27 @@ def _load_json(path: str):
 
 
 def _emit(text: str, out_path) -> None:
-    if out_path:
-        Path(out_path).write_text(text, encoding="utf-8")
-    else:
+    """A report file is written under a temporary name beside it, then
+    renamed into place: never truncated in place, which is slow on some file
+    systems, and left untouched by a failed write.  Links, devices and pipes
+    are written through."""
+    if not out_path:
         sys.stdout.write(text)
+        return
+    target = Path(out_path)
+    if target.is_symlink() or target.exists() and not target.is_file():
+        target.write_text(text, encoding="utf-8")
+        return
+    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        target.unlink(missing_ok=True)
+        os.rename(tmp, target)
+    except OSError as exc:  # name the report, not its temporary file
+        raise OSError(exc.errno, exc.strerror, str(out_path)) from None
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _fail(message: str) -> int:
@@ -118,6 +136,11 @@ def _csv_text(header, rows) -> str:
     return buf.getvalue()
 
 
+def _axis_columns(cfg: GridConfig, *names: str) -> list[str]:
+    """CSV column names, one per axis: as given in 1-D, suffixed _j otherwise."""
+    return list(names) if cfg.dim == 1 else [f"{n}_{j}" for n in names for j in range(cfg.dim)]
+
+
 def _re_im_strings(v) -> tuple[str, str]:
     if isinstance(v, complex):
         return repr(v.real), repr(v.imag)
@@ -154,20 +177,13 @@ def cmd_systems(args) -> int:
     build = {"haar": systems.tensor_haar_step, "price": systems.tensor_price_step}
     tables = [(system, index, build[system](cfg, index)) for system, index in requests]
 
-    blocks = [(j, args.gamma_block, systems.price_haar_matrix(seq, args.gamma_block))
+    # each block as its distinct values, rendered once, and G = values[codes]
+    blocks = [(j, args.gamma_block, systems.gamma_codes(seq, args.gamma_block))
               for j, seq in enumerate(cfg.seqs) if args.gamma_block is not None]
 
     if args.format == "csv":
         if wants_tables:
-            if cfg.dim == 1:
-                header = ["flat_index", "cell_lo", "cell_hi", "re", "im"]
-            else:
-                header = (
-                    ["flat_index"]
-                    + [f"cell_lo_{j}" for j in range(cfg.dim)]
-                    + [f"cell_hi_{j}" for j in range(cfg.dim)]
-                    + ["re", "im"]
-                )
+            header = ["flat_index", *_axis_columns(cfg, "cell_lo", "cell_hi"), "re", "im"]
             rows = []
             for _, nvec, sf in tables:
                 label = str(nvec[0]) if cfg.dim == 1 else ":".join(map(str, nvec))
@@ -178,13 +194,12 @@ def cmd_systems(args) -> int:
                     rows.append([label, *lo, *hi, re, im])
             _emit(_csv_text(header, rows), args.out)
         else:
-            rows = [
-                [j, t, r, c, repr(re), repr(im)]
-                for j, t, mat in blocks
-                for r, (res, ims) in enumerate(zip(mat.real.tolist(), mat.imag.tolist()))
-                for c, (re, im) in enumerate(zip(res, ims))
-            ]
-            _emit(_csv_text(["dim", "block", "row", "col", "re", "im"], rows), args.out)
+            lines = ["dim,block,row,col,re,im\n"]
+            for j, t, (values, codes) in blocks:
+                strs = [f"{v.real!r},{v.imag!r}\n" for v in values.tolist()]
+                for r, row in enumerate(codes.tolist()):
+                    lines.extend(f"{j},{t},{r},{c},{strs[code]}" for c, code in enumerate(row))
+            _emit("".join(lines), args.out)
         return 0
 
     doc = {"grid": cfg.to_json_dict(), "schema_version": SCHEMA_VERSION}
@@ -198,19 +213,15 @@ def cmd_systems(args) -> int:
             }
             for system, nvec, sf in tables
         ]
-    if blocks:
-        doc["gamma_blocks"] = [
-            {
-                "block": t,
-                "dim": j,
-                "matrix": [
-                    [{"im": im, "re": re} for re, im in zip(res, ims)]
-                    for res, ims in zip(mat.real.tolist(), mat.imag.tolist())
-                ],
-            }
-            for j, t, mat in blocks
-        ]
-    _emit(canonical_json(doc), args.out)
+    text = canonical_json(doc)
+    if blocks:  # "gamma_blocks" sorts before every other key of doc
+        rendered = []
+        for j, t, (values, codes) in blocks:
+            strs = [canonical_json({"im": v.imag, "re": v.real})[:-1] for v in values.tolist()]
+            matrix = "],[".join(",".join(map(strs.__getitem__, row)) for row in codes.tolist())
+            rendered.append(f'{{"block":{t},"dim":{j},"matrix":[[{matrix}]]}}')
+        text = f'{{"gamma_blocks":[{",".join(rendered)}],{text[1:]}'
+    _emit(text, args.out)
     return 0
 
 
@@ -349,15 +360,7 @@ def cmd_decompose(args) -> int:
     box.validate(cfg)
     parts = decompose_box(cfg, box)
     if args.format == "csv":
-        if cfg.dim == 1:
-            header = ["rank", "index", "lo", "hi"]
-        else:
-            header = (
-                [f"rank_{j}" for j in range(cfg.dim)]
-                + [f"index_{j}" for j in range(cfg.dim)]
-                + [f"lo_{j}" for j in range(cfg.dim)]
-                + [f"hi_{j}" for j in range(cfg.dim)]
-            )
+        header = _axis_columns(cfg, "rank", "index", "lo", "hi")
         rows = []
         for cell in parts:
             lo = [str(cell.start(cfg, j)) for j in range(cfg.dim)]

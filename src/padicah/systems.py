@@ -17,7 +17,10 @@ exact coefficients never round until the final conversion to a number.
 
 Each system has one term builder that lays coeff times a tensor basis
 function on cells, ``add_haar_term`` and ``price_term``: tables, partial
-sums, Haar bands and recovery bases all go through them.
+sums, Haar bands and recovery bases all go through them.  ``price_term``
+converts each distinct phase once, and ``gamma_codes`` gives a gamma block
+as its at most m + 1 distinct values and one integer code per entry, so
+``systems --gamma-block`` renders each value once, in the same bytes.
 """
 from __future__ import annotations
 
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import product as iter_product
-from math import isqrt, prod, sqrt
+from math import isqrt, lcm, prod, sqrt
 from operator import mul
 
 from .errors import ConfigMismatch, DepthExhausted
@@ -330,31 +333,33 @@ def tensor_haar_step(cfg: GridConfig, nvec) -> StepFunction:
     return add_haar_term(StepFunction.constant(cfg, 0), nvec, UnitValue.ONE)
 
 
-def _price_row(seq: BranchSeq, k: int) -> list[UnitValue]:
-    """psi_k on the m_t cells of its block rank t, from one digit expansion:
-    cell i with digits d_1..d_t has phase sum_j alpha_j d_j / p_j, which is
-    e / m_t for the integer e = sum_j alpha_j d_j (m_t / p_j)."""
-    alphas = price_digits(seq, k)
-    m = seq.modulus(len(alphas))
+def _price_row(seq: BranchSeq, k: int, modulus: int) -> list[int]:
+    """psi_k on the m_t cells of its block rank t, as integer exponents over
+    a multiple ``modulus`` of m_t: cell i with digits d_1..d_t has phase
+    sum_j alpha_j d_j / p_j = e / modulus, e = sum_j alpha_j d_j (modulus / p_j)."""
     exponents = [0]
-    for a, p in zip(alphas, seq.p):
-        step = a * (m // p)
+    for a, p in zip(price_digits(seq, k), seq.p):
+        step = a * (modulus // p)
         exponents = [e + d * step for e in exponents for d in range(p)]
-    return [UnitValue(1, Fraction(e, m)) for e in exponents]
+    return exponents
 
 
 def price_term(cfg: GridConfig, kvec, coeff) -> StepFunction:
     """coeff * psi_{k_1} x ... x psi_{k_d} on the uniform grid of its block
     ranks: dense, since it is nowhere zero, and refused before it is built
-    beyond the cell cap.  UnitValue coefficients stay exact."""
+    beyond the cell cap.  UnitValue coefficients stay exact; each distinct
+    phase E / lcm(m_{t_j}) is converted once."""
     kvec = tuple(kvec)
     if len(kvec) != cfg.dim:
         raise ConfigMismatch(f"index has {len(kvec)} entries, grid has {cfg.dim} dims")
     ranks = tuple(block_of_index(seq, k) for seq, k in zip(cfg.seqs, kvec))
     uniform_sizes(cfg, ranks)  # the cap, checked before any row is built
-    rows = [_price_row(seq, k) for seq, k in zip(cfg.seqs, kvec)]
-    values = [reduce(mul, uvs).times(coeff) for uvs in iter_product(*rows)]
-    return StepFunction.on_grid(cfg, ranks, values)
+    big = lcm(*(seq.modulus(t) for seq, t in zip(cfg.seqs, ranks)))
+    phases = [0]
+    for seq, k in zip(cfg.seqs, kvec):
+        phases = [(a + b) % big for a in phases for b in _price_row(seq, k, big)]
+    value = {e: UnitValue(1, Fraction(e, big)).times(coeff) for e in set(phases)}
+    return StepFunction.on_grid(cfg, ranks, [value[e] for e in phases])
 
 
 def tensor_price_step(cfg: GridConfig, kvec) -> StepFunction:
@@ -385,22 +390,15 @@ def block_range(seq: BranchSeq, block_rank: int) -> range:
     return range(seq.modulus(block_rank - 1), seq.modulus(block_rank))
 
 
-def price_haar_matrix(seq: BranchSeq, block_rank: int) -> np.ndarray:
-    """Change-of-basis matrix G[k][l] = <psi_k, chi_l> within one block.
-
-    Both systems restricted to block t span the same space of step
-    functions, so G is unitary; psi_k = sum_l G[k][l] chi_l exactly.
-    In closed form, with m = m_{t-1}, k = a + alpha_t * m and l decoded to
-    (t-1, r, s): G[k][l] = [alpha_t = s] * omega**N(a, r) * sqrt(m) / m,
-    where omega = exp(2*pi*i / m) and N = sum_{j<t} alpha_j d_j (m / p_j)
-    over the Price digits alpha_j of a and the digits d_j of r (most
-    significant first): the character table of Z_{p_1} x ... x Z_{p_{t-1}}
-    on the p_t - 1 diagonal (s, s) sub-blocks, exact zeros elsewhere.
-    """
+def gamma_codes(seq: BranchSeq, block_rank: int):
+    """Gamma block t as (values, codes) with G = values[codes]: the m + 1
+    distinct entries omega**e * sqrt(m) / m (e < m) and exact zero, and per
+    entry N(a, r) mod m on the diagonal sub-blocks, m elsewhere (see
+    ``price_haar_matrix``)."""
     import numpy as np  # only gamma blocks and basis changes need it
 
     if block_rank == 0:
-        return np.ones((1, 1), dtype=complex)
+        return np.ones(1, dtype=complex), np.zeros((1, 1), dtype=np.int64)
     t = block_rank
     m, p = seq.modulus(t - 1), seq.factor(t)
     side = (p - 1) * m
@@ -416,9 +414,25 @@ def price_haar_matrix(seq: BranchSeq, block_rank: int) -> np.ndarray:
         alpha = cells // seq.modulus(j - 1) % p_j
         digit = cells // (m // seq.modulus(j)) % p_j
         exponent += np.outer(alpha, digit * (m // p_j))
-    table = np.exp(2j * np.pi * cells / m)[exponent % m] * (sqrt(m) / m)
+    values = np.append(np.exp(2j * np.pi * cells / m) * (sqrt(m) / m), 0j)
     # rows (alpha_t - 1, a), columns (r, s - 1)
-    out = np.zeros((p - 1, m, m, p - 1), dtype=complex)
+    codes = np.full((p - 1, m, m, p - 1), m, dtype=np.int64)
     for s in range(p - 1):
-        out[s, :, :, s] = table
-    return out.reshape((p - 1) * m, m * (p - 1))
+        codes[s, :, :, s] = exponent % m
+    return values, codes.reshape(side, side)
+
+
+def price_haar_matrix(seq: BranchSeq, block_rank: int) -> np.ndarray:
+    """Change-of-basis matrix G[k][l] = <psi_k, chi_l> within one block.
+
+    Both systems restricted to block t span the same space of step
+    functions, so G is unitary; psi_k = sum_l G[k][l] chi_l exactly.
+    In closed form, with m = m_{t-1}, k = a + alpha_t * m and l decoded to
+    (t-1, r, s): G[k][l] = [alpha_t = s] * omega**N(a, r) * sqrt(m) / m,
+    where omega = exp(2*pi*i / m) and N = sum_{j<t} alpha_j d_j (m / p_j)
+    over the Price digits alpha_j of a and the digits d_j of r (most
+    significant first): the character table of Z_{p_1} x ... x Z_{p_{t-1}}
+    on the p_t - 1 diagonal (s, s) sub-blocks, exact zeros elsewhere.
+    """
+    values, codes = gamma_codes(seq, block_rank)
+    return values[codes]

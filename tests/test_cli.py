@@ -465,6 +465,92 @@ def test_systems_gamma_block_bytes_are_frozen(tmp_path, fmt, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+# sha256 of `systems --gamma-block` output, recorded before blocks were
+# rendered from their distinct values: blocks 0, 1 and the top block
+GAMMA_SHA256 = {
+    ((2, 5, 3),): {
+        0: ("02732eb98c2eeab36f676c19bafde4bb55880b5a7ba4f31a059f638bc8f327f5",
+            "7a31a4cfae3928644be074bab65eba9b410b24623de0c0ba1dec7e22e7e004ae"),
+        1: ("3dac9675498156f547a7e76140e75043a9d06e3ae5b6e7e1def9569f150b6719",
+            "5bf5e98b142552227725a0437a86da506bbd6765bacdacbed2df1d73b1c822bd"),
+        3: ("3dd74588f5ed3edaf315562c00014e773d65496c4211ec9da716dc48d3564943",
+            "166c14f2b4fa4071fb3c1a504726ba3a751195485ff3eea8d83e7aab770f8ac3"),
+    },
+    ((3, 2, 5, 2),): {
+        0: ("c267663847469ff86dbc9d60bf67be072e3a0c8dbd418b06e969b1134b7579ae",
+            "7a31a4cfae3928644be074bab65eba9b410b24623de0c0ba1dec7e22e7e004ae"),
+        1: ("550f82ea128f24fe047255c7f28695a31207e6c9a37946b1273ef5f625b17e53",
+            "27bee3492d1a4211bff7142f37fa26678859b0ac9fae3bb2df62a33771eeec52"),
+        4: ("49499803a6223821fe6a42c395a1bec820a1b3e532f1e077a99af4da24713700",
+            "8e5b637123db78f00119f23c87f8b6e43f4d60fb80b32c39a136a9e68172a96b"),
+    },
+    ((2, 3, 2, 3, 2, 3),): {
+        0: ("6fa58df28e03897be53c6a9a84f4f1d3ef7f533d964a001791a712c5ebac9be2",
+            "7a31a4cfae3928644be074bab65eba9b410b24623de0c0ba1dec7e22e7e004ae"),
+        1: ("bbeea19112f135c52100cab8c12bf8838a3d7e27ec57c8f4068859211bdc3e52",
+            "5bf5e98b142552227725a0437a86da506bbd6765bacdacbed2df1d73b1c822bd"),
+        6: ("38197b506dd33be4fb5c01a823097da3ae269a935982d55f407992071882d688",
+            "1488e7b0f486a2645c21a98d0ecbef701d27902d1e504c196a5c59ac4e6e73ab"),
+    },
+    ((2, 3, 2), (3, 2, 2)): {
+        0: ("34c81ddb9b2c5930ae7c4fd2273fe4aac20fdce992d732edc36709303e52ca87",
+            "c440ff95a8b16df583dc0d3e62f0fbd953a8dc47f6d1640730aa7f5ee3a36507"),
+        1: ("88a7ccb6aee115a1761dc989074b2c772b14556804c1c5eef5fd66e782744f94",
+            "fa93812d6a90f8c882215a2ba607302cc8f1016988c387817b33944d0b0490a0"),
+        3: ("58487520efcb7fefb489e07c5de840441e753139a414e6f271908be7ef31a873",
+            "c8207e2f8abd540df9c38fe79c0e1bd26d1f43c4015cd0242b7f100940c41c69"),
+    },
+}
+
+
+@pytest.mark.parametrize("seqs, block, fmt", [
+    (seqs, block, fmt) for seqs, blocks in GAMMA_SHA256.items() for block in blocks
+    for fmt in ("json", "csv")
+])
+def test_systems_gamma_block_bytes_match_the_recorded_sha256(tmp_path, seqs, block, fmt):
+    doc = {"dims": len(seqs), "seqs": [list(s) for s in seqs], "depth": min(map(len, seqs))}
+    grid = _write(tmp_path / "g.json", doc)
+    out = tmp_path / f"gb.{fmt}"
+    argv = ["systems", "--grid", grid, "--gamma-block", str(block), "--format", fmt]
+    assert main([*argv, "--out", str(out)]) == 0
+    digest = GAMMA_SHA256[seqs][block][fmt == "csv"]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_rerun_onto_an_existing_out_gives_the_same_bytes(tmp_path):
+    grid = _write(tmp_path / "g.json", _grid_doc(4))
+    out = tmp_path / "gb.json"
+    argv = ["systems", "--grid", grid, "--gamma-block", "3", "--haar", "5", "--out", str(out)]
+    assert main(argv) == 0
+    first = out.read_bytes()
+    out.write_text("a longer report from an earlier run\n" * 1000)
+    assert main(argv) == 0
+    assert out.read_bytes() == first
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.json", "gb.json"]
+
+
+def test_a_failed_write_leaves_the_existing_out_untouched(tmp_path, capsys, monkeypatch):
+    import padicah.cli as cli
+
+    grid = _write(tmp_path / "g.json", _grid_doc(4))
+    out = tmp_path / "gb.json"
+    out.write_text("the previous report\n")
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        fh = open(file, mode, *args, **kwargs)
+        if "w" in mode:
+            def write(text):
+                raise OSError(28, "No space left on device", str(file))
+            fh.write = write
+        return fh
+
+    monkeypatch.setattr(cli, "open", failing_open, raising=False)
+    assert main(["systems", "--grid", grid, "--gamma-block", "3", "--out", str(out)]) == 1
+    assert f"cannot read or write {out}: No space left on device" in capsys.readouterr().err
+    assert out.read_text() == "the previous report\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.json", "gb.json"]
+
+
 def test_decompose_checks_the_cap_before_enumerating(tmp_path, capsys):
     grid = _write(tmp_path / "g.json", {"dims": 2, "seqs": [[2] * 40] * 2, "depth": 40})
     started = time.perf_counter()

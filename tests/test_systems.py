@@ -31,7 +31,7 @@ from padicah import (
     tensor_haar_step,
     tensor_price_step,
 )
-from padicah.systems import price_term
+from padicah.systems import gamma_codes, price_term
 from strategies import grids, haar_indices
 
 
@@ -269,6 +269,62 @@ def test_gamma_matrix_p3_block_6_is_unitary():
     eye = np.eye(486)
     assert np.max(np.abs(mat @ mat.conj().T - eye)) < 1e-12
     assert np.max(np.abs(mat.conj().T @ mat - eye)) < 1e-12
+
+
+def _dense_gamma_block(seq, t):
+    """A gamma block built entry by entry as a dense matrix, the way
+    ``price_haar_matrix`` built it before ``gamma_codes``: the oracle."""
+    if t == 0:
+        return np.ones((1, 1), dtype=complex)
+    m, p = seq.modulus(t - 1), seq.factor(t)
+    cells = np.arange(m)
+    exponent = np.zeros((m, m), dtype=np.int64)
+    for j in range(1, t):
+        p_j = seq.factor(j)
+        alpha = cells // seq.modulus(j - 1) % p_j
+        digit = cells // (m // seq.modulus(j)) % p_j
+        exponent += np.outer(alpha, digit * (m // p_j))
+    table = np.exp(2j * np.pi * cells / m)[exponent % m] * (math.sqrt(m) / m)
+    out = np.zeros((p - 1, m, m, p - 1), dtype=complex)
+    for s in range(p - 1):
+        out[s, :, :, s] = table
+    return out.reshape((p - 1) * m, m * (p - 1))
+
+
+def _assert_codes_rebuild_the_dense_block(seq):
+    for t in range(seq.depth + 1):
+        values, codes = gamma_codes(seq, t)
+        want = _dense_gamma_block(seq, t)
+        assert len(values) == (seq.modulus(t - 1) + 1 if t else 1)
+        assert codes.shape == want.shape
+        # bit for bit, signed zeros included
+        assert np.array_equal(values[codes].view(np.int64), want.view(np.int64))
+        assert np.array_equal(price_haar_matrix(seq, t).view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("lists", [
+    (2, 5, 3), (3, 2, 5, 2), (2, 3, 2, 3, 2, 3), (3, 3, 3, 3, 3), (2,) * 8, (3, 2, 2),
+])
+def test_gamma_codes_rebuild_the_dense_block_bit_for_bit(lists):
+    _assert_codes_rebuild_the_dense_block(BranchSeq(lists))
+
+
+@settings(max_examples=40)
+@given(grids())
+def test_gamma_codes_rebuild_the_dense_block_on_random_grids(cfg):
+    for seq in cfg.seqs:
+        _assert_codes_rebuild_the_dense_block(seq)
+
+
+def test_price_term_converts_each_distinct_phase_once(monkeypatch):
+    cfg = GridConfig.from_lists([[2, 3, 2], [3, 2, 5]])
+    kvec = (11, 29)  # blocks 3 and 3, with m_3 = 12 and 30
+    calls = []
+    times = UnitValue.times
+    monkeypatch.setattr(UnitValue, "times", lambda uv, coeff: calls.append(uv) or times(uv, coeff))
+    term = price_term(cfg, kvec, complex(0.5, -0.25))
+    assert len(term.values) == 12 * 30
+    assert 0 < len(calls) <= math.lcm(12, 30)
 
 
 def test_haar_encode_rejects_bad_args():
