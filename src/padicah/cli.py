@@ -7,6 +7,7 @@ that runs family members concurrently; falls back to the PADIC_THREADS
 variable, then 1), --tolerance (verdict tolerance where a command has one).
 Both are checked before any work (threads >= 1, a finite tolerance >= 0),
 as are index ranges (within the grid's flat indices); errors name the flag.
+A command whose grid comes from another file refuses a --grid naming another.
 
 Exit codes: 0 when the command's verdicts pass, 1 for unusable input
 (missing files, parse errors, empty windows), 2 when a requested verdict
@@ -48,19 +49,25 @@ def _emit(text: str, out_path) -> None:
         sys.stdout.write(text)
         return
     target = Path(out_path)
-    if target.is_symlink() or target.exists() and not target.is_file():
-        target.write_text(text, encoding="utf-8")
-        return
     tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
     try:
+        if target.is_symlink() or target.exists() and not target.is_file():
+            target.write_text(text, encoding="utf-8")
+            return
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(text)
         target.unlink(missing_ok=True)
         os.rename(tmp, target)
-    except OSError as exc:  # name the report, not its temporary file
-        raise OSError(exc.errno, exc.strerror, str(out_path)) from None
+    except OSError as exc:  # name the flag and the report, not its temporary file
+        raise ValueError(f"--out: cannot read or write {out_path}: {exc.strerror}") from None
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def _check_grid(args, cfg: GridConfig, source: str) -> None:
+    """Refuse a --grid that names another grid than `source` gives."""
+    if args.grid is not None and GridConfig.from_json_dict(_load_json(args.grid)) != cfg:
+        raise ConfigMismatch(f"--grid disagrees with {source}")
 
 
 def _fail(message: str) -> int:
@@ -253,10 +260,7 @@ def cmd_recover(args) -> int:
     fam = family_from_json_dict(_load_json(args.family))
     if coeffs.cfg != fam.cfg:
         raise ConfigMismatch("series and family files use different grids")
-    if args.grid is not None:
-        cfg = GridConfig.from_json_dict(_load_json(args.grid))
-        if cfg != coeffs.cfg:
-            raise ConfigMismatch("--grid disagrees with the series file")
+    _check_grid(args, coeffs.cfg, "the series file")
     threads = args.threads
     family_report = fam.report
 
@@ -290,15 +294,15 @@ def cmd_recover(args) -> int:
             reference = gamma_path_reference(coeffs, index)
         report = recover_haar_coeff(f, index, fam, reference=reference, tol=tol, threads=threads)
         doc = report.to_json_dict()
-    else:
+    else:  # the gamma path: the Haar side of the series, turned into Price once
         if coeffs.mode == "price":
             reference = as_value(coeffs.get(index, 0))
-            haar_side = haar_coeffs_from_price(coeffs)
+            gamma_side = price_coeffs_from_haar(haar_coeffs_from_price(coeffs))
         else:
-            reference = gamma_path_reference(coeffs, index)
-            haar_side = coeffs
+            gamma_side = price_coeffs_from_haar(coeffs)
+            reference = gamma_side.get(index, 0)
         report = recover_price_coeff(f, index, fam, reference=reference, tol=tol, threads=threads)
-        gamma_ref = as_value(price_coeffs_from_haar(haar_side).get(index, 0))
+        gamma_ref = as_value(gamma_side.get(index, 0))
         doc = report.to_json_dict()
         doc["gamma_reference"] = encode_value(gamma_ref)
         doc["gamma_error"] = abs(complex(report.estimates[-1]) - complex(gamma_ref))
@@ -319,6 +323,7 @@ def cmd_check_family(args) -> int:
     if args.family is None:
         return _fail("check-family needs --family")
     fam = family_from_json_dict(_load_json(args.family))
+    _check_grid(args, fam.cfg, "the family file")
     report = check_family(fam)
     _emit(canonical_json(report.to_json_dict()), args.out)
     return 0 if report.passes else 2
@@ -336,7 +341,10 @@ def cmd_counterexample(args) -> int:
     j_values = None
     if args.j is not None:
         j_values = tuple(_int(p, "--j") for p in args.j.split(",") if p.strip())
+        if not j_values:
+            return _fail("--j lists no right-edge exponent")
     spec = ExampleSpec(n_max=args.nmax, j_values=j_values)
+    _check_grid(args, spec.grid(), f"the example's grid (depth {spec.depth})")
     report = end_to_end(spec, threads=args.threads)
     _emit(canonical_json(report.to_json_dict()), args.out)
     return 0 if report.overall_pass else 2

@@ -59,7 +59,8 @@ class ExampleSpec:
 
     `family_members` defaults to n_max + 1, which is exactly deep enough
     for the last member to dominate the whole density; `j_values`
-    defaults to every j with a nonempty level window.
+    defaults to every j with a nonempty level window, and a list given
+    must name at least one.
     """
 
     n_max: int = 5
@@ -77,6 +78,8 @@ class ExampleSpec:
             object.__setattr__(self, "j_values", tuple(range(1, self.n_max)))
         else:
             object.__setattr__(self, "j_values", tuple(int(j) for j in self.j_values))
+            if not self.j_values:
+                raise ValueError("j_values must list at least one right-edge exponent")
         for j in self.j_values:
             if j < 1:
                 raise ValueError(f"right-edge exponents must be >= 1, got {j}")

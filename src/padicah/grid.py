@@ -1,19 +1,15 @@
-"""Exact multiresolution grids on the unit cube.
+"""Exact multiresolution grids on the unit cube, and the one interval rule.
 
 A branching sequence ``p_1, ..., p_K`` (every entry >= 2) splits [0,1)
 into ``m_k = p_1 * ... * p_k`` equal intervals at rank k; a grid is one
 branching sequence per dimension, and a cell is a product of per-dimension
-intervals whose ranks may differ.  All geometry is exact: coordinates and
-measures are `fractions.Fraction` values, and cells are half-open boxes
-``[a, b)`` so that refinements are honest set partitions.
-
-Key properties used throughout the package:
-
-* two intervals of the same sequence are nested or disjoint, never
-  partially overlapping, so intersections of cells are cells;
-* a rank-k interval splits into exactly ``p_{k+1}`` rank-(k+1) children;
-* every point of [0,1) is coded by its digit string ``x_i < p_i`` with
-  position ``sum_i x_i / m_i``.
+half-open intervals whose ranks may differ.  Rank-k interval n spans the
+integer positions ``[n * w_k, (n + 1) * w_k)``, w = ``BranchSeq.widths``,
+in units of the deepest intervals.  So two intervals of one sequence are
+nested or disjoint, and the meet of two cells is a cell; this module reads
+ancestors, descendants, containment, meets, splits and integer box weights
+off that rule.  Coordinates and measures at the edges are exact Fractions,
+and a point of [0,1) is coded by digits ``x_i < p_i`` at ``sum_i x_i / m_i``.
 """
 from __future__ import annotations
 
@@ -71,6 +67,15 @@ class BranchSeq:
         if not 1 <= k <= self.depth:
             raise DepthExhausted(f"no branching factor p_{k} at depth {self.depth}")
         return self.p[k - 1]
+
+    def ancestor(self, k: int, n: int, q: int) -> int:
+        """Index of the rank-q interval (q <= k) that holds rank-k interval n."""
+        return n * self.widths[k] // self.widths[q]
+
+    def descendants(self, k: int, n: int, q: int) -> range:
+        """Indices of the rank-q intervals (q >= k) inside rank-k interval n."""
+        ratio = self.widths[k] // self.widths[q]
+        return range(n * ratio, (n + 1) * ratio)
 
 
 @dataclass(frozen=True)
@@ -192,32 +197,34 @@ class Cell:
 
     def contains(self, cfg: GridConfig, other: "Cell") -> bool:
         """Whole-cell containment: every dimension of `other` nests in self."""
-        for j in range(self.dim):
-            ka, kb = self.ranks[j], other.ranks[j]
-            if kb < ka:
-                return False
-            ratio = cfg.seqs[j].modulus(kb) // cfg.seqs[j].modulus(ka)
-            if other.indices[j] // ratio != self.indices[j]:
+        for seq, ka, na, kb, nb in zip(cfg.seqs, self.ranks, self.indices,
+                                       other.ranks, other.indices):
+            if kb < ka or seq.ancestor(kb, nb, ka) != na:
                 return False
         return True
 
     def intersect(self, cfg: GridConfig, other: "Cell"):
         """Intersection cell, or None when disjoint; both cells must be
-        valid on `cfg`.
-
-        Per dimension two intervals of one sequence are nested or disjoint,
-        so the intersection is the finer interval whenever prefixes match.
-        """
-        ranks, indices = [], []
+        valid on `cfg`.  Per dimension the coarser interval must be the
+        finer one's ancestor, and then the intersection is the `meet`."""
         for seq, ka, na, kb, nb in zip(cfg.seqs, self.ranks, self.indices,
                                        other.ranks, other.indices):
             if ka < kb:
                 ka, na, kb, nb = kb, nb, ka, na
-            if na // (seq.moduli[ka] // seq.moduli[kb]) != nb:
+            if seq.ancestor(ka, na, kb) != nb:
                 return None
-            ranks.append(ka)
-            indices.append(na)
-        return Cell(tuple(ranks), tuple(indices))
+        return self.meet(other)
+
+    def meet(self, other: "Cell") -> "Cell":
+        """The intersection of two cells known to meet: the finer interval in
+        each dimension, and either cell itself when it is finer throughout."""
+        ranks = tuple(map(max, self.ranks, other.ranks))
+        if ranks == self.ranks:
+            return self
+        if ranks == other.ranks:
+            return other
+        return Cell(ranks, tuple(na if x >= y else nb for x, y, na, nb in
+                                 zip(self.ranks, other.ranks, self.indices, other.indices)))
 
 
 def full_cube(dim: int) -> Cell:
@@ -244,19 +251,13 @@ def refine_cell(cfg: GridConfig, cell: Cell, dim: int) -> tuple[Cell, ...]:
     Raises DepthExhausted when that dimension's sequence is used up.
     """
     cell.validate(cfg)
-    k = cell.ranks[dim]
-    seq = cfg.seqs[dim]
+    k, seq = cell.ranks[dim], cfg.seqs[dim]
     if k >= seq.depth:
         raise DepthExhausted(f"dim {dim} already at maximal rank {k}")
-    p = seq.factor(k + 1)
-    children = []
-    for t in range(p):
-        ranks = list(cell.ranks)
-        idxs = list(cell.indices)
-        ranks[dim] = k + 1
-        idxs[dim] = cell.indices[dim] * p + t
-        children.append(Cell(tuple(ranks), tuple(idxs)))
-    return tuple(children)
+    ranks = (*cell.ranks[:dim], k + 1, *cell.ranks[dim + 1:])
+    before, after = cell.indices[:dim], cell.indices[dim + 1:]
+    return tuple(Cell(ranks, (*before, n, *after))
+                 for n in seq.descendants(k, cell.indices[dim], k + 1))
 
 
 def decompose_box(cfg: GridConfig, box: Cell) -> tuple[Cell, ...]:
@@ -269,16 +270,12 @@ def decompose_box(cfg: GridConfig, box: Cell) -> tuple[Cell, ...]:
     """
     box.validate(cfg)
     K = max(box.ranks)
-    ranges = []
-    for j, (k, n) in enumerate(zip(box.ranks, box.indices)):
-        ratio = cfg.seqs[j].modulus(K) // cfg.seqs[j].modulus(k)
-        ranges.append(range(n * ratio, (n + 1) * ratio))
+    Cell((K,) * cfg.dim, (0,) * cfg.dim).validate(cfg)  # every dimension reaches rank K
+    ranges = [seq.descendants(k, n, K) for seq, k, n in zip(cfg.seqs, box.ranks, box.indices)]
     count = prod(len(r) for r in ranges)
     if count > MAX_UNIFORM_CELLS:
         raise ValueError(f"box splits into {count} rank-{K} cells, over the {MAX_UNIFORM_CELLS} cap")
-    return tuple(
-        Cell((K,) * cfg.dim, combo) for combo in iter_product(*ranges)
-    )
+    return tuple(Cell((K,) * cfg.dim, combo) for combo in iter_product(*ranges))
 
 
 @dataclass(frozen=True)
@@ -326,8 +323,9 @@ def point_position(cfg: GridConfig, pt: PointCode, j: int) -> Fraction:
 def cell_of_point(cfg: GridConfig, pt: PointCode, rank: int) -> Cell:
     """The unique rank-`rank` cell containing the point.
 
-    Dimension j gets index ``sum_{i<=rank} x_i * m_rank / m_i``, i.e. the
-    digit string read as a mixed-radix numeral.
+    Dimension j gets the rank-`rank` ancestor of the position of the first
+    `rank` digits, ``sum_{i<=rank} x_i * m_rank / m_i``: the digit string
+    read as a mixed-radix numeral.
     """
     if pt.dim != cfg.dim:
         raise ConfigMismatch(f"point has {pt.dim} dims, grid has {cfg.dim}")
@@ -340,11 +338,8 @@ def cell_of_point(cfg: GridConfig, pt: PointCode, rank: int) -> Cell:
             raise DepthExhausted(
                 f"dim {j}: point has {len(pt.digits[j])} digits, rank {rank} needs {rank}"
             )
-        m_rank = seq.modulus(rank)
-        n = 0
-        for i in range(rank):
-            n += pt.digits[j][i] * (m_rank // seq.modulus(i + 1))
-        indices.append(n)
+        position = sum(x * w for x, w in zip(pt.digits[j][:rank], seq.widths[1:]))
+        indices.append(seq.ancestor(seq.depth, position, rank))
     return Cell((rank,) * cfg.dim, tuple(indices))
 
 
@@ -387,7 +382,7 @@ def _split_along(cfg: GridConfig, items, ranks, j: int) -> list[list]:
     an item whose interval spans the region goes into every bucket."""
     seq = cfg.seqs[j]
     r = ranks[j]
-    p, mods = seq.p[r], seq.moduli
+    p = seq.p[r]
     buckets = [[] for _ in range(p)]
     for item in items:
         k = item[0].ranks[j]
@@ -395,7 +390,7 @@ def _split_along(cfg: GridConfig, items, ranks, j: int) -> list[list]:
             for bucket in buckets:
                 bucket.append(item)
         else:
-            buckets[item[0].indices[j] // (mods[k] // mods[r + 1]) % p].append(item)
+            buckets[seq.ancestor(k, item[0].indices[j], r + 1) % p].append(item)
     return buckets
 
 
@@ -409,17 +404,50 @@ def validate_partition(cfg: GridConfig, cells, region: Cell | None = None) -> No
     region = region if region is not None else full_cube(cfg.dim)
     region.validate(cfg)
     cells = list(cells)
-    total = 0
     for c in cells:
         c.validate(cfg)
         if not region.contains(cfg, c):
             raise ValueError(f"cell {c} is not inside the region {region}")
-        total += prod(seq.widths[k] for seq, k in zip(cfg.seqs, c.ranks))
-    if total != prod(seq.widths[k] for seq, k in zip(cfg.seqs, region.ranks)):
-        unit = prod(seq.widths[0] for seq in cfg.seqs)
+    total, want = sum(box_weights(cfg, cells)), box_weights(cfg, [region])[0]
+    if total != want:
+        unit = weight_unit(cfg)
         raise ValueError(
             f"partition measures sum to {Fraction(total, unit)}, "
-            f"region has measure {region.measure(cfg)}"
+            f"region has measure {Fraction(want, unit)}"
         )
     items = [(c, None) for c in cells]
     meeting_pairs(cfg, list(region.ranks), items, items, [])
+
+
+def weight_unit(cfg: GridConfig) -> int:
+    """The common denominator of the weights: prod_j m_{K_j}, the number
+    of deepest cells."""
+    return prod(seq.widths[0] for seq in cfg.seqs)
+
+
+def box_weights(cfg: GridConfig, cells, box: Cell | None = None) -> list:
+    """Each cell's measure inside `box` (default: the whole cube) as an
+    integer count of deepest cells, or None where the cell misses the box.
+
+    Per dimension a cell spans the integer positions [n w_k, (n + 1) w_k);
+    intervals of one sequence nest or miss, so where they meet the
+    overlap is the narrower width.
+    """
+    widths = [seq.widths for seq in cfg.seqs]
+    if box is not None:
+        box.validate(cfg)
+    if box is None or not any(box.ranks):
+        return [prod(map(tuple.__getitem__, widths, c.ranks)) for c in cells]
+    spans = [(n * w[k], (n + 1) * w[k], w[k]) for w, k, n in zip(widths, box.ranks, box.indices)]
+    out = []
+    for c in cells:
+        weight = 1
+        for w, k, n, (lo, hi, span) in zip(widths, c.ranks, c.indices, spans):
+            width = w[k]
+            start = n * width
+            if start >= hi or start + width <= lo:
+                weight = None
+                break
+            weight *= width if width < span else span
+        out.append(weight)
+    return out

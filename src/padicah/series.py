@@ -247,18 +247,26 @@ class AdditiveFn:
         return self._majorant
 
     def _table_majorant(self) -> StepFunction:
-        """Running maximum of |density| and its averages on the uniform
-        rank-k cells, k < R."""
-        density, cfg = self._density, self.cfg
-        best = density.abs()
-        for k in range(max(density.max_ranks())):
-            cells = tuple(
-                Cell((k,) * cfg.dim, combo)
-                for combo in iter_product(*(range(seq.modulus(k)) for seq in cfg.seqs))
-            )
-            averages = tuple(value_abs(density.integral(c) / c.measure(cfg)) for c in cells)
-            best = pointwise_max(best, StepFunction(cfg, cells, averages))
-        return best
+        """Running maximum of |density| and its averages E_k on the uniform
+        rank-k cells, k < R, by Paley's pyramid: E_R is the density on the
+        uniform rank-R grid, and E_k on a cell is the mean of E_{k+1} over
+        its children, an exact Fraction when the values are exact."""
+        density, cfg, R = self._density, self.cfg, max(self._density.max_ranks())
+        level = density.uniform_values((R,) * cfg.dim)  # refused over the cell cap
+        averages = []
+        for k in range(R - 1, -1, -1):
+            strides = [prod(seq.moduli[k + 1] for seq in cfg.seqs[j + 1:]) for j in range(cfg.dim)]
+            count = prod(seq.p[k] for seq in cfg.seqs)
+            means = []
+            for combo in iter_product(*(range(seq.moduli[k]) for seq in cfg.seqs)):
+                kids = iter_product(*(seq.descendants(k, n, k + 1)
+                                      for seq, n in zip(cfg.seqs, combo)))
+                total = sum(level[sum(i * s for i, s in zip(kid, strides))] for kid in kids)
+                means.append(Fraction(total, count) if isinstance(total, (int, Fraction))
+                             else total / count)
+            level = means
+            averages.append(StepFunction.on_grid(cfg, (k,) * cfg.dim, map(value_abs, level)))
+        return reduce(pointwise_max, reversed(averages), density.abs())
 
 
 # ---------------------------------------------------------------------------

@@ -2,16 +2,17 @@
 
 A StepFunction is constant on each cell of a partition of the unit cube,
 listed in canonical cell order.  Values may be ints, Fractions, floats, or
-complex numbers.  Measures are integer counts of the deepest cells
-(``box_weights``), so integrals of exact-valued functions are exact and
-float terms keep the bits of a value times an exact Fraction measure.
+complex numbers.  Cell geometry comes from `grid`: measures are its
+integer counts of the deepest cells (``box_weights``), so integrals of
+exact-valued functions are exact and float terms keep the bits of a value
+times an exact Fraction measure.
 
 Partitions are sparse in every dimension (cells are products of
 intervals of mixed ranks); only ``uniform_values`` expands onto a uniform
 grid, under a hard cell-count cap.  Two step functions combine on their
-coarsest common refinement: the nonempty pairwise intersections of their
-cells, which are cells again, found by a sweep that splits the cube one
-dimension at a time (in one dimension, a linear merge).
+coarsest common refinement: the meets of their meeting cells, found by
+a sweep that splits the cube one dimension at a time (in one dimension,
+a linear merge).
 """
 from __future__ import annotations
 
@@ -26,10 +27,12 @@ from .grid import (
     Cell,
     GridConfig,
     PointCode,
+    box_weights,
     full_cube,
     meeting_pairs,
     point_position,
     validate_partition,
+    weight_unit,
 )
 from .parallel import tree_sum
 
@@ -140,13 +143,12 @@ class StepFunction:
         )
 
     def value_at(self, pt: PointCode):
-        """Value of the unique cell containing the point."""
-        pos = [point_position(self.cfg, pt, j) for j in range(self.dim)]
+        """Value of the unique cell containing the point's deepest cell."""
+        cfg = self.cfg
+        deepest = Cell(tuple(seq.depth for seq in cfg.seqs), tuple(
+            int(point_position(cfg, pt, j) * seq.moduli[-1]) for j, seq in enumerate(cfg.seqs)))
         for cell, value in zip(self.cells, self.values):
-            if all(
-                cell.start(self.cfg, j) <= pos[j] < cell.end(self.cfg, j)
-                for j in range(self.dim)
-            ):
+            if cell.contains(cfg, deepest):
                 return value
         raise ValueError("point is not covered by the partition")
 
@@ -162,42 +164,21 @@ class StepFunction:
         return weighted_sum(self.cfg, self.values, box_weights(self.cfg, self.cells, box))
 
     def uniform_values(self, rank_vec) -> list:
-        """Flat value list on the per-dimension uniform grid `rank_vec`."""
-        return _expand(self, tuple(rank_vec))
-
-
-def weight_unit(cfg: GridConfig) -> int:
-    """The common denominator of the weights: prod_j m_{K_j}, the number
-    of deepest cells."""
-    return prod(seq.widths[0] for seq in cfg.seqs)
-
-
-def box_weights(cfg: GridConfig, cells, box: Cell | None = None) -> list:
-    """Each cell's measure inside `box` (default: the whole cube) as an
-    integer count of deepest cells, or None where the cell misses the box.
-
-    Per dimension a cell spans the integer positions [n w_k, (n + 1) w_k),
-    w = ``widths``; intervals of one sequence nest or miss, so where they
-    meet the overlap is the narrower width.
-    """
-    widths = [seq.widths for seq in cfg.seqs]
-    if box is not None:
-        box.validate(cfg)
-    if box is None or not any(box.ranks):
-        return [prod(map(tuple.__getitem__, widths, c.ranks)) for c in cells]
-    spans = [(n * w[k], (n + 1) * w[k], w[k]) for w, k, n in zip(widths, box.ranks, box.indices)]
-    out = []
-    for c in cells:
-        weight = 1
-        for w, k, n, (lo, hi, span) in zip(widths, c.ranks, c.indices, spans):
-            width = w[k]
-            start = n * width
-            if start >= hi or start + width <= lo:
-                weight = None
-                break
-            weight *= width if width < span else span
-        out.append(weight)
-    return out
+        """Flat value list on the per-dimension uniform grid `rank_vec`,
+        refused over the cell cap before any is listed."""
+        cfg, rank_vec = self.cfg, tuple(rank_vec)
+        sizes = uniform_sizes(cfg, rank_vec)
+        strides = [prod(sizes[j + 1:]) for j in range(len(sizes))]
+        out = [None] * prod(sizes)
+        for cell, value in zip(self.cells, self.values):
+            spans = []
+            for j, (seq, k, n, q) in enumerate(zip(cfg.seqs, cell.ranks, cell.indices, rank_vec)):
+                if k > q:
+                    raise ValueError(f"cell rank {k} in dim {j} exceeds target rank {q}")
+                spans.append(seq.descendants(k, n, q))
+            for combo in iter_product(*spans):
+                out[sum(i * s for i, s in zip(combo, strides))] = value
+        return out
 
 
 def weighted_sum(cfg: GridConfig, values, weights):
@@ -211,25 +192,6 @@ def weighted_sum(cfg: GridConfig, values, weights):
         return Fraction(sum(v * w for v, w in pairs), unit)
     return tree_sum([v * (w / unit) if not isinstance(v, _EXACT_TYPES)
                      else Fraction(v * w, unit) if v else 0 for v, w in pairs], zero=Fraction(0))
-
-
-def _expand(sf: StepFunction, rank_vec: tuple[int, ...]) -> list:
-    cfg = sf.cfg
-    sizes = uniform_sizes(cfg, rank_vec)
-    strides = [1] * len(sizes)
-    for j in range(len(sizes) - 2, -1, -1):
-        strides[j] = strides[j + 1] * sizes[j + 1]
-    out = [None] * prod(sizes)
-    for cell, value in zip(sf.cells, sf.values):
-        spans = []
-        for j, (k, n) in enumerate(zip(cell.ranks, cell.indices)):
-            if k > rank_vec[j]:
-                raise ValueError(f"cell rank {k} in dim {j} exceeds target rank {rank_vec[j]}")
-            ratio = sizes[j] // cfg.seqs[j].modulus(k)
-            spans.append(range(n * ratio, (n + 1) * ratio))
-        for combo in iter_product(*spans):
-            out[sum(i * s for i, s in zip(combo, strides))] = value
-    return out
 
 
 def common_refinement(f: StepFunction, g: StepFunction):
@@ -253,7 +215,7 @@ def common_refinement(f: StepFunction, g: StepFunction):
     if meeting_pairs(f.cfg, [0] * f.dim, list(zip(f.cells, f.values)),
                      list(zip(g.cells, g.values)), pairs):
         pairs = list({(id(a), id(b)): (a, av, b, bv) for a, av, b, bv in pairs}.values())
-    return sorted(((_meet(a, b), av, bv) for a, av, b, bv in pairs),
+    return sorted(((a.meet(b), av, bv) for a, av, b, bv in pairs),
                   key=lambda t: t[0].sort_key(f.cfg))
 
 
@@ -278,18 +240,6 @@ def _merge_1d(f: StepFunction, g: StepFunction):
     if i < len(fa) or j < len(fb):
         raise ValueError("partitions do not cover the same region")
     return out
-
-
-def _meet(a: Cell, b: Cell) -> Cell:
-    """The intersection of two meeting cells: the finer interval in each
-    dimension (one of the two cells whenever it is finer throughout)."""
-    ranks = tuple(map(max, a.ranks, b.ranks))
-    if ranks == a.ranks:
-        return a
-    if ranks == b.ranks:
-        return b
-    return Cell(ranks, tuple(na if x >= y else nb for x, y, na, nb in
-                             zip(a.ranks, b.ranks, a.indices, b.indices)))
 
 
 def zip_with(f: StepFunction, g: StepFunction, fn) -> StepFunction:

@@ -306,18 +306,18 @@ def add_haar_term(sf: StepFunction, nvec, coeff) -> StepFunction:
             seq = cfg.seqs[j]
             t = spans[j][0]
             for rank in range(t, k):
-                node, step = (r // (seq.modulus(k) // seq.modulus(q)) for q in (rank, rank + 1))
-                p = seq.factor(rank + 1)
-                for sibling in range(node * p, node * p + p):
+                step = seq.ancestor(k, r, rank + 1)
+                for sibling in seq.descendants(rank, seq.ancestor(k, r, rank), rank + 1):
                     if sibling != step:
                         spans[j] = (rank + 1, sibling)
                         out.append((Cell(*zip(*spans)), value))
             if t < kid_rank:
                 spans[j] = (k, r)
-                pieces.append([(kid_rank, r * len(kids) + x, uv) for x, uv in enumerate(kids)])
+                pieces.append([(kid_rank, n, uv)
+                               for n, uv in zip(seq.descendants(k, r, kid_rank), kids)])
             else:
-                digit = spans[j][1] // (seq.modulus(t) // seq.modulus(kid_rank)) % len(kids)
-                pieces.append([(*spans[j], kids[digit])])
+                n = spans[j][1]
+                pieces.append([(t, n, kids[seq.ancestor(t, n, kid_rank) % len(kids)])])
         for combo in iter_product(*pieces):
             uv = reduce(mul, (c[2] for c in combo))
             out.append((Cell(*zip(*(c[:2] for c in combo))), value + uv.times(coeff)))

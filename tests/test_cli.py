@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from padicah.cli import main
+from padicah.counterexample import ExampleSpec
 
 
 def _write(path, doc):
@@ -797,3 +798,69 @@ def test_a_box_rank_beyond_the_grid_names_the_flag(tmp_path, capsys):
                          "--box '4:0'", "rank 4 outside [0, 3]")
     _refused_before_work(capsys, ["decompose", "--grid", grid, "--box", "2:4"],
                          "--box '2:4'", "index 4 outside [0, 4)")
+
+
+@pytest.mark.parametrize("raw", ["", ","])
+def test_an_empty_j_list_is_refused_by_name(capsys, raw):
+    started = time.perf_counter()
+    assert main(["counterexample", "--nmax", "5", "--j", raw]) == 1
+    assert "--j" in _one_error_line(capsys, started)
+
+
+def _grid_flag_runs(tmp_path):
+    """check-family and counterexample, each with the grid it works on."""
+    family = _write(tmp_path / "f.json", _family_doc())
+    return [(["check-family", "--family", family], _grid_doc()),
+            (["counterexample", "--nmax", "2"], ExampleSpec(n_max=2).grid().to_json_dict())]
+
+
+def test_a_matching_grid_flag_is_accepted(tmp_path):
+    for argv, grid in _grid_flag_runs(tmp_path):
+        assert main([*argv, "--grid", _write(tmp_path / "g.json", grid)]) == 0
+
+
+def test_a_grid_flag_naming_another_grid_is_refused(tmp_path, capsys):
+    for argv, grid in _grid_flag_runs(tmp_path):
+        other = _write(tmp_path / "g.json", {**grid, "seqs": [[3] * grid["depth"]]})
+        started = time.perf_counter()
+        assert main([*argv, "--grid", other]) == 1
+        assert "--grid disagrees" in _one_error_line(capsys, started)
+
+
+def test_a_missing_grid_file_is_reported_on_every_command(tmp_path, capsys):
+    missing = str(tmp_path / "missing.json")
+    for argv, _ in _grid_flag_runs(tmp_path):
+        assert main([*argv, "--grid", missing]) == 1
+        assert capsys.readouterr().err == f"error: missing file: {missing}\n"
+
+
+def test_a_missing_out_directory_names_the_flag(tmp_path, capsys):
+    grid = _write(tmp_path / "g.json", _grid_doc(3))
+    out = tmp_path / "nodir" / "x.json"
+    assert main(["systems", "--grid", grid, "--haar", "1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: --out: cannot read or write {out}: No such file or directory\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.json"]
+    # a missing input keeps its own message
+    assert main(["systems", "--grid", str(tmp_path / "nogrid.json"), "--haar", "1"]) == 1
+    assert capsys.readouterr().err == f"error: missing file: {tmp_path / 'nogrid.json'}\n"
+
+
+def test_price_recovery_of_a_haar_series_transforms_it_once(tmp_path, monkeypatch):
+    import padicah.recovery
+    import padicah.series
+
+    calls = []
+    convert = padicah.series.price_coeffs_from_haar
+    for module in (padicah.series, padicah.recovery):
+        monkeypatch.setattr(module, "price_coeffs_from_haar",
+                            lambda coeffs: calls.append(coeffs) or convert(coeffs))
+    series = _write(tmp_path / "s.json", _series_doc())
+    family = _write(tmp_path / "f.json", _family_doc())
+    out = tmp_path / "rp.json"
+    assert main(["recover", "--mode", "price", "--series", series, "--family", family,
+                 "--index", "2", "--out", str(out)]) == 0
+    assert len(calls) == 1
+    # the report bytes recorded before the second transform was dropped
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "f1f2b7fa1ba62548ecff39b3e0c62ea7bf1d83255e2536b8102034011ed5da2c")

@@ -44,6 +44,12 @@ def test_example_spec_rejects_out_of_range():
         ExampleSpec(n_max=9)
 
 
+def test_example_spec_rejects_an_empty_exponent_list():
+    """No exponent would certify no failure window, and pass."""
+    with pytest.raises(ValueError, match="at least one right-edge exponent"):
+        ExampleSpec(n_max=5, j_values=())
+
+
 def test_term_support_geometry():
     cfg = ExampleSpec(n_max=4).grid()
     for n in range(1, 5):

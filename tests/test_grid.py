@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padicah import (
     BranchSeq,
@@ -16,6 +19,8 @@ from padicah import (
     refine_cell,
     validate_partition,
 )
+from padicah.grid import box_weights
+from strategies import grids
 
 
 def test_branch_seq_moduli():
@@ -234,3 +239,65 @@ def test_sort_key_orders_by_position():
     ordered = sorted(cells, key=lambda c: c.sort_key(cfg))
     starts = [(c.start(cfg, 0), c.start(cfg, 1)) for c in ordered]
     assert starts == sorted(starts)
+
+
+@st.composite
+def _cells_near(draw, cfg, count=4):
+    """Cells of random ranks, about half of them holding a point of the
+    first, so that nested, meeting and disjoint pairs all come up."""
+    def at(point):  # the cell of random ranks holding a point given by Fractions
+        ranks = [draw(st.integers(0, seq.depth)) for seq in cfg.seqs]
+        return Cell(tuple(ranks), tuple(int(x * seq.modulus(k))
+                                        for x, seq, k in zip(point, cfg.seqs, ranks)))
+
+    def point_in(cell):
+        return [cell.start(cfg, j) + (cell.end(cfg, j) - cell.start(cfg, j))
+                * Fraction(draw(st.integers(0, 15)), 16) for j in range(cfg.dim)]
+
+    first = at([Fraction(draw(st.integers(0, 63)), 64) for _ in cfg.seqs])
+    return [first] + [at(point_in(first)) if draw(st.booleans())
+                      else at([Fraction(draw(st.integers(0, 63)), 64) for _ in cfg.seqs])
+                      for _ in range(count - 1)]
+
+
+def _spans(cfg, cell):
+    return [(cell.start(cfg, j), cell.end(cfg, j)) for j in range(cfg.dim)]
+
+
+@settings(max_examples=100)
+@given(st.data())
+def test_interval_rule_matches_fraction_endpoints(data):
+    """Containment, meets, ancestors, descendants and box weights against
+    an oracle on the cells' Fraction endpoints alone."""
+    cfg = data.draw(grids(max_cells=256))
+    cells = data.draw(_cells_near(cfg))
+    unit = prod(seq.modulus(seq.depth) for seq in cfg.seqs)
+    for a in cells:
+        for b in cells:
+            pairs = list(zip(_spans(cfg, a), _spans(cfg, b)))
+            nested = all(lo <= blo and bhi <= hi for (lo, hi), (blo, bhi) in pairs)
+            assert a.contains(cfg, b) == nested
+            overlap = [(max(lo, blo), min(hi, bhi)) for (lo, hi), (blo, bhi) in pairs]
+            meet = a.intersect(cfg, b)
+            if any(lo >= hi for lo, hi in overlap):
+                assert meet is None
+                continue
+            assert _spans(cfg, meet) == overlap and _spans(cfg, a.meet(b)) == overlap
+            if all(ka >= kb for ka, kb in zip(a.ranks, b.ranks)):
+                assert a.meet(b) is a and a.intersect(cfg, b) is a
+        for box in [None, *cells]:
+            overlap = [min(hi, bhi) - max(lo, blo) for (lo, hi), (blo, bhi)
+                       in zip(_spans(cfg, a), _spans(cfg, box or full_cube(cfg.dim)))]
+            want = None if min(overlap) <= 0 else prod(overlap) * unit
+            assert box_weights(cfg, [a], box) == [want]
+        for j, (seq, k, n) in enumerate(zip(cfg.seqs, a.ranks, a.indices)):
+            lo, hi = a.start(cfg, j), a.end(cfg, j)
+            for q in range(seq.depth + 1):
+                m = seq.modulus(q)
+                inside = [i for i in range(m) if lo <= Fraction(i, m) and Fraction(i + 1, m) <= hi]
+                if q <= k:
+                    holder, = (i for i in range(m)
+                               if Fraction(i, m) <= lo and hi <= Fraction(i + 1, m))
+                    assert seq.ancestor(k, n, q) == holder
+                if q >= k:
+                    assert list(seq.descendants(k, n, q)) == inside

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 from functools import reduce
+from itertools import product as iter_product
+from math import isclose, prod
 
 import pytest
 from hypothesis import given, settings
@@ -28,9 +30,9 @@ from padicah import (
     series_majorant,
     stabilized_sum,
 )
-from padicah.stepfn import pointwise_max
+from padicah.stepfn import pointwise_max, value_abs
 from padicah.systems import block_of_index, price_term
-from strategies import haar_series
+from strategies import grids, haar_series
 
 
 def _eval_at(coeffs, digit_rows, N=None):
@@ -363,6 +365,47 @@ def test_table_majorant_compares_exactly():
     assert float(x) == float((x + y) / 2)
     af = AdditiveFn.from_table(GridConfig.from_lists([[2, 2]]), 1, [x, y])
     assert af.majorant().values[0] == (x + y) / 2
+
+
+def _enumerated_table_majorant(af):
+    """The table majorant by its definition: the running maximum of
+    |density| and its integral averages on every uniform rank-k cell."""
+    density, cfg = af.derivative(), af.cfg
+    best = density.abs()
+    for k in range(max(density.max_ranks())):
+        cells = tuple(Cell((k,) * cfg.dim, combo)
+                      for combo in iter_product(*(range(seq.modulus(k)) for seq in cfg.seqs)))
+        averages = tuple(value_abs(density.integral(c) / c.measure(cfg)) for c in cells)
+        best = pointwise_max(best, StepFunction(cfg, cells, averages))
+    return best
+
+
+_TABLE_VALUES = {
+    "int": st.integers(-6, 6),
+    "fraction": st.fractions(-3, 3, max_denominator=7),
+    "float": st.floats(-4, 4, allow_nan=False),
+    "complex": st.builds(complex, st.floats(-4, 4), st.floats(-4, 4)),
+}
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_table_majorant_matches_the_enumeration(data):
+    """Exact tables: the same cells, values and value types.  Float and
+    complex tables: the same cells, and values within rounding."""
+    cfg = data.draw(grids(max_cells=256))
+    rank = data.draw(st.integers(0, cfg.min_depth))
+    kind = data.draw(st.sampled_from(sorted(_TABLE_VALUES)))
+    size = prod(seq.modulus(rank) for seq in cfg.seqs)
+    values = data.draw(st.lists(_TABLE_VALUES[kind], min_size=size, max_size=size))
+    got = AdditiveFn.from_table(cfg, rank, values).majorant()
+    want = _enumerated_table_majorant(AdditiveFn.from_table(cfg, rank, values))
+    if kind in ("int", "fraction"):
+        assert repr(got) == repr(want)
+    else:
+        assert got.cells == want.cells
+        for x, y in zip(got.values, want.values):
+            assert type(x) is type(y) and isclose(x, y, rel_tol=1e-12, abs_tol=1e-12)
 
 
 def test_unit_value_coefficients_supported():
