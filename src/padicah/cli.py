@@ -2,9 +2,10 @@
 
 Subcommands: systems, recover, check-family, counterexample, decompose.
 Shared flags on every subcommand: --grid (grid JSON file), --out (output
-path, default stdout), --format {json,csv}, --threads (size of the pool
-that runs family members concurrently; falls back to the PADIC_THREADS
-variable, then 1), --tolerance (verdict tolerance where a command has one).
+path, default stdout), --format {json,csv}, --threads (how many contiguous
+shares of the family members run concurrently, the calling thread running
+the first; falls back to the PADIC_THREADS variable, then 1), --tolerance
+(verdict tolerance where a command has one).
 Both are checked before any work (threads >= 1, a finite tolerance >= 0),
 as are index ranges (within the grid's flat indices); errors name the flag.
 A command whose grid comes from another file refuses a --grid naming another.
@@ -334,10 +335,12 @@ def cmd_check_family(args) -> int:
 
 
 def cmd_counterexample(args) -> int:
-    from .counterexample import ExampleSpec, end_to_end
+    from .counterexample import MAX_ROWS, ExampleSpec, end_to_end
 
     if args.format == "csv":
         return _fail("the counterexample report is JSON only")
+    if not 2 <= args.nmax <= MAX_ROWS:
+        return _fail(f"--nmax must be an integer in 2..{MAX_ROWS}, got {args.nmax}")
     j_values = None
     if args.j is not None:
         j_values = tuple(_int(p, "--j") for p in args.j.split(",") if p.strip())
@@ -399,7 +402,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--format", choices=("json", "csv"), default="json")
     sub.add_argument(
         "--threads", type=int, default=None,
-        help=f"workers for the family-member pool (default: ${ENV_THREADS} or 1)",
+        help=f"threads sharing the family members (default: ${ENV_THREADS} or 1)",
     )
     sub.add_argument(
         "--tolerance", type=float, default=None,
@@ -440,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("counterexample", help="run the packaged example end to end")
     _add_common(p)
-    p.add_argument("--nmax", type=int, default=5, help="rows of the construction (1..8)")
+    p.add_argument("--nmax", type=int, default=5, help="rows of the construction (2..8)")
     p.add_argument("--j", help='right-edge exponents, e.g. "1,2,3"')
     p.set_defaults(func=cmd_counterexample)
 

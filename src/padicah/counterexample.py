@@ -57,6 +57,7 @@ def triangle(n: int) -> int:
 class ExampleSpec:
     """Size parameters of the construction, with derived grid geometry.
 
+    `n_max` is at least 2, since one row has no nonempty level window.
     `family_members` defaults to n_max + 1, which is exactly deep enough
     for the last member to dominate the whole density; `j_values`
     defaults to every j with a nonempty level window, and a list given
@@ -68,8 +69,8 @@ class ExampleSpec:
     j_values: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if not isinstance(self.n_max, int) or not 1 <= self.n_max <= MAX_ROWS:
-            raise ValueError(f"n_max must be an integer in 1..{MAX_ROWS}, got {self.n_max}")
+        if not isinstance(self.n_max, int) or not 2 <= self.n_max <= MAX_ROWS:
+            raise ValueError(f"n_max must be an integer in 2..{MAX_ROWS}, got {self.n_max}")
         if self.family_members is None:
             object.__setattr__(self, "family_members", self.n_max + 1)
         if self.family_members < 1:

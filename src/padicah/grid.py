@@ -203,17 +203,21 @@ class Cell:
                 return False
         return True
 
-    def intersect(self, cfg: GridConfig, other: "Cell"):
-        """Intersection cell, or None when disjoint; both cells must be
-        valid on `cfg`.  Per dimension the coarser interval must be the
-        finer one's ancestor, and then the intersection is the `meet`."""
+    def meets(self, cfg: GridConfig, other: "Cell") -> bool:
+        """Whether two cells valid on `cfg` meet: per dimension the coarser
+        interval must be the finer one's ancestor."""
         for seq, ka, na, kb, nb in zip(cfg.seqs, self.ranks, self.indices,
                                        other.ranks, other.indices):
             if ka < kb:
                 ka, na, kb, nb = kb, nb, ka, na
             if seq.ancestor(ka, na, kb) != nb:
-                return None
-        return self.meet(other)
+                return False
+        return True
+
+    def intersect(self, cfg: GridConfig, other: "Cell"):
+        """Intersection cell, or None when disjoint: the `meet` of cells
+        that `meets`."""
+        return self.meet(other) if self.meets(cfg, other) else None
 
     def meet(self, other: "Cell") -> "Cell":
         """The intersection of two cells known to meet: the finer interval in

@@ -73,7 +73,7 @@ class AdditiveRecoveryReport:
 
 
 def member_passes(af: AdditiveFn, fam: HFamily, boxes, threads: int = 1) -> list:
-    """One pass per member h, in one pool: h truncates the density once
+    """One pass per member h, in one parallel map: h truncates the density once
     and meets the majorant once, and every box is weighed from those two
     refinements.  Each pass is (estimates, tails, excess): int_box [Psi']_h
     and int_{box, Psi* > h} h per box, and the cells where Psi* > h."""

@@ -12,7 +12,10 @@ function on cells:
              for any N >= max(R, rank(I)),
 
 evaluated as one exact step-function integral over the (possibly
-mixed-rank) box.  Coefficients may be UnitValue objects, in which case
+mixed-rank) box.  In Haar mode S_R and its majorant sup_k |S_k| come
+from one pass down the support tree, which splits only the cells each
+term meets (``haar_pieces``); Price mode sums the terms on the uniform
+rank-k grids.  Coefficients may be UnitValue objects, in which case
 products with system values stay exact until the final conversion; this
 is what keeps integer-valued series (values up to the 2**52 guard)
 exactly representable.
@@ -25,14 +28,16 @@ from itertools import product as iter_product
 from math import isfinite, isqrt, prod
 
 from .errors import ConfigMismatch, ValueGuardError
-from .grid import Cell, GridConfig
-from .stepfn import StepFunction, pointwise_max, uniform_sizes, value_abs
+from .grid import Cell, GridConfig, full_cube
+from .stepfn import StepFunction, leq_exact_or_float, pointwise_max, uniform_sizes, value_abs
 from .systems import (
     UnitValue,
     add_haar_term,
     block_of_index,
     block_range,
+    haar_pieces,
     haar_sup_sq,
+    haar_term,
     price_haar_matrix,
     price_term,
 )
@@ -127,19 +132,9 @@ class CoeffMap:
         return self._terms[nvec]
 
     @cached_property
-    def _haar_bands(self) -> tuple[StepFunction, ...]:
-        """S_k for k = 0..R as sparse step functions (Haar mode), built once
-        per map: S_k is S_{k-1} plus the terms of block k, each added on
-        its own support."""
-        bands = {}
-        for nvec, coeff in self.items():
-            bands.setdefault(_index_block(self.cfg, nvec), []).append((nvec, coeff))
-        current, sums = StepFunction.constant(self.cfg, 0), []
-        for k in range(self.stabilization_rank + 1):
-            for nvec, coeff in bands.get(k, ()):
-                current = add_haar_term(current, nvec, coeff)
-            sums.append(current)
-        return tuple(sums)
+    def _haar_sums(self) -> tuple[StepFunction, StepFunction]:
+        """(S_R, sup_k |S_k|) in Haar mode, from one tree pass per map."""
+        return _haar_tree_pass(self)
 
     def __eq__(self, other):
         return (
@@ -170,27 +165,72 @@ def partial_sum(coeffs: CoeffMap, N: int) -> StepFunction:
 
 
 # ---------------------------------------------------------------------------
-# banded Haar sums
+# the Haar density and its majorant
+
+
+def _running_max(best, value):
+    """Fold |value| into a running maximum as ``pointwise_max`` does: on a
+    tie the earlier value stays; None means nothing is folded yet."""
+    new = value_abs(value)
+    return best if best is not None and leq_exact_or_float(new, best) else new
+
+
+def _haar_tree_pass(coeffs: CoeffMap) -> tuple[StepFunction, StepFunction]:
+    """S_R and its majorant sup_k |S_k| in one pass down the support tree.
+
+    Terms go in block order, then map order, as ``add_haar_term`` would add
+    them to the whole step function; but each term only splits the leaves
+    that meet its support, found from the root down, into ``haar_pieces``.
+    So the leaves are that sum's cells with its values, bit for bit, and a
+    leaf's value once block k is in is S_k there.  A leaf also keeps the
+    block of its last change and the running maximum of |S_k| before it,
+    which gives the majorant on the same cells.  Leaves are sorted once.
+    """
+    cfg = coeffs.cfg
+    root = [full_cube(cfg.dim), 0, None, 0, None]  # cell, value, running max, block, children
+    nodes = [root]
+    for block, nvec, coeff in sorted((_index_block(cfg, nvec), nvec, coeff)
+                                     for nvec, coeff in coeffs.items()):
+        term = haar_term(cfg, nvec, coeff)
+        support, stack = term[0], [root]
+        while stack:
+            node = stack.pop()
+            if node[4] is not None:
+                stack.extend(kid for kid in node[4] if kid[0].meets(cfg, support))
+                continue
+            cell, value, best, seen, _ = node
+            if seen < block:
+                best = _running_max(best, value)
+            pieces = haar_pieces(cfg, term, cell, value)
+            if len(pieces) == 1:
+                node[1:4] = pieces[0][1], best, block
+            else:
+                node[4] = [[piece, v, best, block, None] for piece, v in pieces]
+                nodes += node[4]
+    leaves = sorted((node for node in nodes if node[4] is None), key=lambda node: node[0].sort_key(cfg))
+    cells = tuple(node[0] for node in leaves)
+    return (StepFunction(cfg, cells, tuple(node[1] for node in leaves)),
+            StepFunction(cfg, cells, tuple(_running_max(node[2], node[1]) for node in leaves)))
 
 
 def stabilized_sum(coeffs: CoeffMap) -> StepFunction:
     """The full sum S_R: sparse in Haar mode, the rank-R grid in Price mode."""
     if coeffs.mode == "price":
         return partial_sum(coeffs, coeffs.stabilization_rank)
-    return coeffs._haar_bands[-1]
+    return coeffs._haar_sums[0]
 
 
 def series_majorant(coeffs: CoeffMap) -> StepFunction:
     """sup over N of |S_N|: the running maximum of |S_k| for k = 0..R.
 
     Equals, cell by cell at rank R, the maximum of |Psi(I)| / mu(I) over
-    the chain of uniform-rank ancestors I of the cell.  Price mode sums
-    the map's cached terms at every rank, so each term is built once.
+    the chain of uniform-rank ancestors I of the cell.  Haar mode takes it
+    from the density's tree pass, on the density's cells.  Price mode folds
+    the partial sums of the map's cached terms, so each term is built once.
     """
-    if coeffs.mode == "price":
-        sums = (partial_sum(coeffs, k) for k in range(coeffs.stabilization_rank + 1))
-    else:
-        sums = coeffs._haar_bands
+    if coeffs.mode == "haar":
+        return coeffs._haar_sums[1]
+    sums = (partial_sum(coeffs, k) for k in range(coeffs.stabilization_rank + 1))
     return reduce(pointwise_max, (sf.abs() for sf in sums))
 
 

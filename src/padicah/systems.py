@@ -17,7 +17,10 @@ exact coefficients never round until the final conversion to a number.
 
 Each system has one term builder that lays coeff times a tensor basis
 function on cells, ``add_haar_term`` and ``price_term``: tables, partial
-sums, Haar bands and recovery bases all go through them.  ``price_term``
+sums and recovery bases go through them.  A Haar term's values on the
+children of its support are built once (``haar_term``), and every cell
+it meets splits by one rule (``haar_pieces``), which the Haar density's
+tree pass applies to the cells a term meets.  ``price_term``
 converts each distinct phase once, and ``gamma_codes`` gives a gamma block
 as its at most m + 1 distinct values and one integer code per entry, so
 ``systems --gamma-block`` renders each value once, in the same bytes.
@@ -25,6 +28,7 @@ as its at most m + 1 distinct values and one integer code per entry, so
 from __future__ import annotations
 
 import cmath
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -129,12 +133,10 @@ def block_of_index(seq: BranchSeq, n: int) -> int:
     """Block rank of a flat index: 0 for n=0, else t with m_{t-1} <= n < m_t."""
     if n < 0:
         raise ValueError(f"flat index must be nonnegative, got {n}")
-    if n == 0:
-        return 0
-    for t in range(1, seq.depth + 1):
-        if seq.moduli[t - 1] <= n < seq.moduli[t]:
-            return t
-    raise DepthExhausted(f"flat index {n} needs rank beyond depth {seq.depth}")
+    t = bisect_right(seq.moduli, n)  # m_0 = 1, so n = 0 gives 0
+    if t > seq.depth:
+        raise DepthExhausted(f"flat index {n} needs rank beyond depth {seq.depth}")
+    return t
 
 
 def classical_to_flat(k: int, i: int) -> int:
@@ -268,17 +270,12 @@ def term_cells(cfg: GridConfig, nvec, mode: str) -> int:
     return prod(seq.modulus(t) if mode == "price" else sum(seq.p[:t]) - t + 1 for seq, t in blocks)
 
 
-def add_haar_term(sf: StepFunction, nvec, coeff) -> StepFunction:
-    """sf + coeff * chi_{n_1} x ... x chi_{n_d}, refined only where the term lives.
-
-    Per dimension the term lives on one rank-k_j support cell (the whole
-    interval for n_j = 0), constant on its p_{k_j+1} children.  Cells of
-    sf missing the support keep their values untouched.  A cell meeting it
-    splits into its pieces on the children, which gain the term's value,
-    and a coarse zero complement: dimension by dimension, the siblings of
-    the path from the cell down to the support.
-    """
-    cfg = sf.cfg
+def haar_term(cfg: GridConfig, nvec, coeff):
+    """coeff * chi_{n_1} x ... x chi_{n_d} for ``haar_pieces``: the support
+    cell; per dimension (support rank, index, rank of the pieces, their
+    count p), (0, 0, 0, 1) for n_j = 0; and the value on each child of the
+    support by its per-dimension digits, each converted once.  Refused
+    before it is built beyond the cell cap."""
     decoded = [None if n == 0 else haar_decode(seq, n) for seq, n in zip(cfg.seqs, nvec)]
     size = term_cells(cfg, nvec, "haar")
     if size > MAX_UNIFORM_CELLS:
@@ -286,41 +283,70 @@ def add_haar_term(sf: StepFunction, nvec, coeff) -> StepFunction:
             f"Haar term {tuple(nvec)} spans up to {size} cells, "
             f"which exceeds the {MAX_UNIFORM_CELLS} cap"
         )
-    terms = []  # per dimension: support rank and index, rank of the pieces, their values
+    dims, kids = [], []
     for seq, d in zip(cfg.seqs, decoded):
         if d is None:
-            terms.append((0, 0, 0, [UnitValue.ONE]))
+            dims.append((0, 0, 0, 1))
+            kids.append([UnitValue.ONE])
             continue
         k, r, s = d
-        p = seq.factor(k + 1)
-        terms.append((k, r, k + 1, [UnitValue(seq.modulus(k), Fraction(x * s, p)) for x in range(p)]))
-    support = Cell(tuple(t[0] for t in terms), tuple(t[1] for t in terms))
+        p = seq.p[k]
+        dims.append((k, r, k + 1, p))
+        kids.append([UnitValue(seq.moduli[k], Fraction(x * s, p)) for x in range(p)])
+    support = Cell(tuple(d[0] for d in dims), tuple(d[1] for d in dims))
+    values = {digits: reduce(mul, map(list.__getitem__, kids, digits)).times(coeff)
+              for digits in iter_product(*(range(d[3]) for d in dims))}
+    return support, dims, values
+
+
+def haar_pieces(cfg: GridConfig, term, cell: Cell, value) -> list:
+    """The (cell, value) pieces of a cell of value `value` that meets the
+    support of `term` (from ``haar_term``): dimension by dimension, the
+    siblings of its path down to the support keep `value`, and the rest
+    splits on the support's children (or stays whole where it is finer),
+    each piece gaining the term's value there."""
+    _, dims, values = term
+    out = []
+    spans = list(zip(cell.ranks, cell.indices))
+    pieces = []  # per dimension: (rank, index, digit) on the support
+    for j, (k, r, kid_rank, p) in enumerate(dims):
+        seq = cfg.seqs[j]
+        t = spans[j][0]
+        for rank in range(t, k):
+            step = seq.ancestor(k, r, rank + 1)
+            for sibling in seq.descendants(rank, seq.ancestor(k, r, rank), rank + 1):
+                if sibling != step:
+                    spans[j] = (rank + 1, sibling)
+                    out.append((Cell(*zip(*spans)), value))
+        if t < kid_rank:
+            spans[j] = (k, r)
+            pieces.append([(kid_rank, n, x)
+                           for x, n in enumerate(seq.descendants(k, r, kid_rank))])
+        else:
+            n = spans[j][1]
+            pieces.append([(t, n, seq.ancestor(t, n, kid_rank) % p)])
+    for combo in iter_product(*pieces):
+        ranks, indices, digits = zip(*combo)
+        out.append((Cell(ranks, indices), value + values[digits]))
+    return out
+
+
+def add_haar_term(sf: StepFunction, nvec, coeff) -> StepFunction:
+    """sf + coeff * chi_{n_1} x ... x chi_{n_d}, refined only where the term lives.
+
+    Per dimension the term lives on one rank-k_j support cell (the whole
+    interval for n_j = 0), constant on its p_{k_j+1} children.  Cells of
+    sf missing the support keep their values untouched; a cell meeting it
+    becomes its ``haar_pieces``.
+    """
+    cfg = sf.cfg
+    term = haar_term(cfg, nvec, coeff)
     out = []
     for cell, value in zip(sf.cells, sf.values):
-        if cell.intersect(cfg, support) is None:
+        if cell.meets(cfg, term[0]):
+            out.extend(haar_pieces(cfg, term, cell, value))
+        else:
             out.append((cell, value))
-            continue
-        spans = list(zip(cell.ranks, cell.indices))
-        pieces = []  # per dimension: (rank, index, UnitValue) pieces on the support
-        for j, (k, r, kid_rank, kids) in enumerate(terms):
-            seq = cfg.seqs[j]
-            t = spans[j][0]
-            for rank in range(t, k):
-                step = seq.ancestor(k, r, rank + 1)
-                for sibling in seq.descendants(rank, seq.ancestor(k, r, rank), rank + 1):
-                    if sibling != step:
-                        spans[j] = (rank + 1, sibling)
-                        out.append((Cell(*zip(*spans)), value))
-            if t < kid_rank:
-                spans[j] = (k, r)
-                pieces.append([(kid_rank, n, uv)
-                               for n, uv in zip(seq.descendants(k, r, kid_rank), kids)])
-            else:
-                n = spans[j][1]
-                pieces.append([(t, n, kids[seq.ancestor(t, n, kid_rank) % len(kids)])])
-        for combo in iter_product(*pieces):
-            uv = reduce(mul, (c[2] for c in combo))
-            out.append((Cell(*zip(*(c[:2] for c in combo))), value + uv.times(coeff)))
     return StepFunction.from_pieces(cfg, out)
 
 

@@ -347,13 +347,23 @@ def test_thread_count_does_not_change_bytes(tmp_path):
 
 def test_console_script_runs():
     proc = subprocess.run(
-        [sys.executable, "-m", "padicah", "counterexample", "--nmax", "1"],
+        [sys.executable, "-m", "padicah", "counterexample", "--nmax", "2"],
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["overall_pass"] is True
+
+
+@pytest.mark.parametrize("nmax", ["1", "0", "9"])
+def test_an_nmax_outside_the_rows_names_the_flag(tmp_path, capsys, nmax):
+    """One row has no level window, so it would pass without a certificate."""
+    out = tmp_path / "ce.json"
+    assert main(["counterexample", "--nmax", nmax, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: --nmax must be an integer in 2..8, got {nmax}\n"
+    assert not out.exists()
 
 
 def test_tolerance_flag_recorded(tmp_path):

@@ -40,6 +40,8 @@ def test_example_spec_defaults():
 def test_example_spec_rejects_out_of_range():
     with pytest.raises(ValueError):
         ExampleSpec(n_max=0)
+    with pytest.raises(ValueError, match="2..8"):
+        ExampleSpec(n_max=1)  # one row has no level window to certify
     with pytest.raises(ValueError):
         ExampleSpec(n_max=9)
 
@@ -121,9 +123,10 @@ def test_staircase_member_frozen_layout():
 
 
 def test_example_family_satisfies_hypotheses():
-    for n_max in (1, 2, 3, 4, 5):
-        fam = example_family(ExampleSpec(n_max=n_max))
-        assert len(fam) == n_max + 1
+    # the two-member family is the default of one row, which no spec allows
+    for n_max, members in ((2, 2), (2, None), (3, None), (4, None), (5, None)):
+        fam = example_family(ExampleSpec(n_max=n_max, family_members=members))
+        assert len(fam) == (members or n_max + 1)
         rep = check_family(fam)
         assert rep.passes
         assert rep.oscillation_c == 1
@@ -326,9 +329,10 @@ def test_end_to_end_json_document():
 
 def test_end_to_end_refines_each_member_once_per_function(monkeypatch):
     """Each of the 9 members meets the density once and the majorant once
-    (18 refinements); the rest are the majorant's running maximum over the
-    band sums S_0..S_37 (37) and the family check's 8 monotonicity and 9
-    partition sweeps.  Without the shared pass the count was 171."""
+    (18 refinements); the rest are the family check's 8 monotonicity and 9
+    partition sweeps.  The majorant comes from the density's tree pass with
+    no refinement; a running maximum over the band sums S_0..S_37 made 37
+    more, and without the shared member pass the count was 171."""
     from padicah import stepfn
 
     calls = []
@@ -337,4 +341,4 @@ def test_end_to_end_refines_each_member_once_per_function(monkeypatch):
     for module in ("integration", "recovery"):
         monkeypatch.setattr(f"padicah.{module}.common_refinement", stepfn.common_refinement)
     end_to_end(ExampleSpec(8, j_values=(1, 3)))
-    assert len(calls) == 72
+    assert len(calls) == 35

@@ -31,8 +31,8 @@ from padicah import (
     stabilized_sum,
 )
 from padicah.stepfn import pointwise_max, value_abs
-from padicah.systems import block_of_index, price_term
-from strategies import grids, haar_series
+from padicah.systems import add_haar_term, block_of_index, price_term
+from strategies import grids, haar_indices, haar_series
 
 
 def _eval_at(coeffs, digit_rows, N=None):
@@ -432,6 +432,60 @@ def test_banded_sum_and_majorant_match_dense_partial_sums(coeffs):
         assert banded.uniform_values(full) == dense[-1]
     running_max = [max(abs(complex(s[i])) for s in dense) for i in range(len(dense[0]))]
     assert _close(series_majorant(coeffs).uniform_values(full), running_max)
+
+
+def _band_sums(coeffs):
+    """S_0, ..., S_R (Haar mode) by the band sweep: S_k is S_{k-1} plus the
+    terms of block k, in map order, each added to the whole step function."""
+    cfg, bands = coeffs.cfg, {}
+    for nvec, coeff in coeffs.items():
+        bands.setdefault(max(block_of_index(seq, n) for seq, n in zip(cfg.seqs, nvec)), []).append(
+            (nvec, coeff))
+    current, sums = StepFunction.constant(cfg, 0), []
+    for k in range(coeffs.stabilization_rank + 1):
+        for nvec, coeff in bands.get(k, ()):
+            current = add_haar_term(current, nvec, coeff)
+        sums.append(current)
+    return sums
+
+
+_COEFF_VALUES = {
+    "int": st.integers(-6, 6),
+    "fraction": st.fractions(-3, 3, max_denominator=7),
+    "float": st.floats(-4, 4, allow_nan=False),
+    "complex": st.builds(complex, st.floats(-4, 4), st.floats(-4, 4)),
+    "unit": st.builds(UnitValue, st.sampled_from((0, 1, 2, 4, 9)),
+                      st.fractions(0, 1, max_denominator=8)),
+}
+
+
+@settings(max_examples=100)
+@given(st.data())
+def test_tree_pass_matches_the_band_sweep_and_fold(data):
+    """The density is the band sweep's S_R, and the majorant the running
+    maximum of |S_0|, ..., |S_R| by pointwise_max, both by repr: the same
+    cells, values and value types.  The pass adds the same terms in the same
+    order as the sweep, so no float bit moves either."""
+    cfg = data.draw(grids(max_cells=256))
+    kind = data.draw(st.sampled_from(sorted(_COEFF_VALUES)))
+    entries = data.draw(st.dictionaries(haar_indices(cfg), _COEFF_VALUES[kind],
+                                        min_size=1, max_size=6))
+    coeffs = CoeffMap(cfg, entries, "haar")
+    sums = _band_sums(coeffs)
+    assert repr(stabilized_sum(coeffs)) == repr(sums[-1])
+    assert repr(series_majorant(coeffs)) == repr(reduce(pointwise_max, (sf.abs() for sf in sums)))
+
+
+def test_tree_pass_keeps_the_folds_value_types():
+    """On [0, 1/4) the int 2 of S_1 ties with the Fraction(2, 1) of S_3: the
+    fold keeps the earlier value, and so does the pass."""
+    cfg = GridConfig.from_lists([[2, 2, 2]])
+    coeffs = CoeffMap(cfg, {(1,): 2, (4,): Fraction(0), (5,): Fraction(3, 2)}, "haar")
+    density, majorant = stabilized_sum(coeffs), series_majorant(coeffs)
+    assert majorant.cells == density.cells
+    assert repr(density.values) == repr((Fraction(2), Fraction(2), Fraction(5), Fraction(-1), -2))
+    assert repr(majorant.values) == repr((2, 2, Fraction(5), 2, 2))
+    assert repr(majorant) == repr(reduce(pointwise_max, (sf.abs() for sf in _band_sums(coeffs))))
 
 
 @st.composite
