@@ -368,8 +368,10 @@ def cmd_decompose(args) -> int:
         if args.box.endswith(".json")
         else _parse_box(args.box, cfg)
     )
-    box.validate(cfg)
-    parts = decompose_box(cfg, box)
+    try:
+        parts = decompose_box(cfg, box)
+    except ValueError as exc:
+        raise ValueError(f"--box {args.box!r}: {exc}") from None
     if args.format == "csv":
         header = _axis_columns(cfg, "rank", "index", "lo", "hi")
         rows = []

@@ -159,8 +159,8 @@ class Cell:
     def __post_init__(self):
         if len(self.ranks) != len(self.indices):
             raise ValueError("ranks and indices must have equal length")
-        object.__setattr__(self, "ranks", tuple(int(v) for v in self.ranks))
-        object.__setattr__(self, "indices", tuple(int(v) for v in self.indices))
+        object.__setattr__(self, "ranks", tuple(map(int, self.ranks)))
+        object.__setattr__(self, "indices", tuple(map(int, self.indices)))
 
     @property
     def dim(self) -> int:
@@ -274,7 +274,10 @@ def decompose_box(cfg: GridConfig, box: Cell) -> tuple[Cell, ...]:
     """
     box.validate(cfg)
     K = max(box.ranks)
-    Cell((K,) * cfg.dim, (0,) * cfg.dim).validate(cfg)  # every dimension reaches rank K
+    for j, seq in enumerate(cfg.seqs):
+        if seq.depth < K:
+            raise DepthExhausted(f"the box's finest rank {K} exceeds the depth {seq.depth} "
+                                 f"of dimension {j}")
     ranges = [seq.descendants(k, n, K) for seq, k, n in zip(cfg.seqs, box.ranks, box.indices)]
     count = prod(len(r) for r in ranges)
     if count > MAX_UNIFORM_CELLS:

@@ -12,13 +12,12 @@ function on cells:
              for any N >= max(R, rank(I)),
 
 evaluated as one exact step-function integral over the (possibly
-mixed-rank) box.  In Haar mode S_R and its majorant sup_k |S_k| come
+mixed-rank) box.  In both modes S_R and its majorant sup_k |S_k| come
 from one pass down the support tree, which splits only the cells each
-term meets (``haar_pieces``); Price mode sums the terms on the uniform
-rank-k grids.  Coefficients may be UnitValue objects, in which case
-products with system values stay exact until the final conversion; this
-is what keeps integer-valued series (values up to the 2**52 guard)
-exactly representable.
+term meets (``haar_pieces``).  Coefficients may be UnitValue objects, in
+which case products with system values stay exact until the final
+conversion; this is what keeps integer-valued series (values up to the
+2**52 guard) exactly representable.
 """
 from __future__ import annotations
 
@@ -82,7 +81,6 @@ class CoeffMap:
             cleaned[nvec] = value
         self._entries = dict(sorted(cleaned.items()))
         self._check_guard()
-        self._terms = {}
 
     def _check_guard(self):
         """Refuse series whose exact values could exceed 2**52.
@@ -122,19 +120,10 @@ class CoeffMap:
             return 0
         return max(_index_block(self.cfg, nvec) for nvec in self._entries)
 
-    def term(self, nvec) -> StepFunction:
-        """The entry at `nvec` times its basis function, from its system's
-        term builder, built once per map."""
-        if nvec not in self._terms:
-            coeff = self._entries[nvec]
-            self._terms[nvec] = (add_haar_term(StepFunction.constant(self.cfg, 0), nvec, coeff)
-                                 if self.mode == "haar" else price_term(self.cfg, nvec, coeff))
-        return self._terms[nvec]
-
     @cached_property
-    def _haar_sums(self) -> tuple[StepFunction, StepFunction]:
-        """(S_R, sup_k |S_k|) in Haar mode, from one tree pass per map."""
-        return _haar_tree_pass(self)
+    def _pass(self) -> tuple[StepFunction, tuple]:
+        """S_R and the running maxima behind its majorant, per map."""
+        return _tree_pass(self)
 
     def __eq__(self, other):
         return (
@@ -149,23 +138,26 @@ class CoeffMap:
 
 
 def partial_sum(coeffs: CoeffMap, N: int) -> StepFunction:
-    """S_N on the uniform rank-N partition.
+    """S_N on the uniform rank-N partition; N must not exceed any
+    dimension's depth.
 
     Includes exactly the terms whose every per-dimension index is below
     that dimension's rank-N modulus; for N >= stabilization_rank this is
-    the full sum.  Each term (``CoeffMap.term``, built once per map) is
+    the full sum.  Each term is built by its system's term builder and
     added cell by cell, in the map's sorted order.
     """
     cfg, ranks = coeffs.cfg, (N,) * coeffs.cfg.dim
     vals = [0] * prod(uniform_sizes(cfg, ranks))
-    for nvec in coeffs.support():
+    for nvec, coeff in coeffs.items():
         if _index_block(cfg, nvec) <= N:
-            vals = [a + b for a, b in zip(vals, coeffs.term(nvec).uniform_values(ranks))]
+            term = (add_haar_term(StepFunction.constant(cfg, 0), nvec, coeff)
+                    if coeffs.mode == "haar" else price_term(cfg, nvec, coeff))
+            vals = [a + b for a, b in zip(vals, term.uniform_values(ranks))]
     return StepFunction.on_grid(cfg, ranks, vals)
 
 
 # ---------------------------------------------------------------------------
-# the Haar density and its majorant
+# the density and its majorant
 
 
 def _running_max(best, value):
@@ -175,8 +167,15 @@ def _running_max(best, value):
     return best if best is not None and leq_exact_or_float(new, best) else new
 
 
-def _haar_tree_pass(coeffs: CoeffMap) -> tuple[StepFunction, StepFunction]:
-    """S_R and its majorant sup_k |S_k| in one pass down the support tree.
+def _price_shape(cfg: GridConfig, kvec, coeff):
+    """``price_term`` read into ``haar_pieces``' shape (see ``haar_term``)."""
+    sf = price_term(cfg, kvec, coeff)
+    dims = [(0, 0, t, seq.moduli[t]) for seq, t in zip(cfg.seqs, sf.cells[0].ranks)]
+    return full_cube(cfg.dim), dims, {cell.indices: v for cell, v in zip(sf.cells, sf.values)}
+
+
+def _tree_pass(coeffs: CoeffMap) -> tuple[StepFunction, tuple]:
+    """S_R and the running maxima behind sup_k |S_k|, in one tree pass.
 
     Terms go in block order, then map order, as ``add_haar_term`` would add
     them to the whole step function; but each term only splits the leaves
@@ -184,19 +183,22 @@ def _haar_tree_pass(coeffs: CoeffMap) -> tuple[StepFunction, StepFunction]:
     So the leaves are that sum's cells with its values, bit for bit, and a
     leaf's value once block k is in is S_k there.  A leaf also keeps the
     block of its last change and the running maximum of |S_k| before it,
-    which gives the majorant on the same cells.  Leaves are sorted once.
+    which ``series_majorant`` finishes.  Leaves are sorted once.  A term
+    on the whole cube (every Price term) meets every node.
     """
     cfg = coeffs.cfg
+    build = haar_term if coeffs.mode == "haar" else _price_shape
     root = [full_cube(cfg.dim), 0, None, 0, None]  # cell, value, running max, block, children
     nodes = [root]
     for block, nvec, coeff in sorted((_index_block(cfg, nvec), nvec, coeff)
                                      for nvec, coeff in coeffs.items()):
-        term = haar_term(cfg, nvec, coeff)
+        term = build(cfg, nvec, coeff)
         support, stack = term[0], [root]
+        whole = not any(support.ranks)
         while stack:
             node = stack.pop()
             if node[4] is not None:
-                stack.extend(kid for kid in node[4] if kid[0].meets(cfg, support))
+                stack.extend(kid for kid in node[4] if whole or kid[0].meets(cfg, support))
                 continue
             cell, value, best, seen, _ = node
             if seen < block:
@@ -208,30 +210,24 @@ def _haar_tree_pass(coeffs: CoeffMap) -> tuple[StepFunction, StepFunction]:
                 node[4] = [[piece, v, best, block, None] for piece, v in pieces]
                 nodes += node[4]
     leaves = sorted((node for node in nodes if node[4] is None), key=lambda node: node[0].sort_key(cfg))
-    cells = tuple(node[0] for node in leaves)
-    return (StepFunction(cfg, cells, tuple(node[1] for node in leaves)),
-            StepFunction(cfg, cells, tuple(_running_max(node[2], node[1]) for node in leaves)))
+    cells, values, bests, _, _ = zip(*leaves)
+    return StepFunction(cfg, cells, values), bests
 
 
 def stabilized_sum(coeffs: CoeffMap) -> StepFunction:
-    """The full sum S_R: sparse in Haar mode, the rank-R grid in Price mode."""
-    if coeffs.mode == "price":
-        return partial_sum(coeffs, coeffs.stabilization_rank)
-    return coeffs._haar_sums[0]
+    """The full sum S_R, sparse: the cells of the map's tree pass."""
+    return coeffs._pass[0]
 
 
 def series_majorant(coeffs: CoeffMap) -> StepFunction:
     """sup over N of |S_N|: the running maximum of |S_k| for k = 0..R.
 
     Equals, cell by cell at rank R, the maximum of |Psi(I)| / mu(I) over
-    the chain of uniform-rank ancestors I of the cell.  Haar mode takes it
-    from the density's tree pass, on the density's cells.  Price mode folds
-    the partial sums of the map's cached terms, so each term is built once.
+    the chain of uniform-rank ancestors I of the cell.  It comes from the
+    density's tree pass, on the density's cells, so each term is built once.
     """
-    if coeffs.mode == "haar":
-        return coeffs._haar_sums[1]
-    sums = (partial_sum(coeffs, k) for k in range(coeffs.stabilization_rank + 1))
-    return reduce(pointwise_max, (sf.abs() for sf in sums))
+    density, bests = coeffs._pass
+    return StepFunction(coeffs.cfg, density.cells, tuple(map(_running_max, bests, density.values)))
 
 
 # ---------------------------------------------------------------------------

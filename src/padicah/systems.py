@@ -17,13 +17,15 @@ exact coefficients never round until the final conversion to a number.
 
 Each system has one term builder that lays coeff times a tensor basis
 function on cells, ``add_haar_term`` and ``price_term``: tables, partial
-sums and recovery bases go through them.  A Haar term's values on the
-children of its support are built once (``haar_term``), and every cell
-it meets splits by one rule (``haar_pieces``), which the Haar density's
-tree pass applies to the cells a term meets.  ``price_term``
-converts each distinct phase once, and ``gamma_codes`` gives a gamma block
-as its at most m + 1 distinct values and one integer code per entry, so
-``systems --gamma-block`` renders each value once, in the same bytes.
+sums and recovery bases go through them.  One rule (``haar_pieces``)
+splits each cell a term meets: a Haar term's pieces are the p_{k+1}
+children of its rank-k support, a Price term's the m_t cells of its
+block rank t; a cell coarser than the pieces splits the support's
+interval if it holds it, else its own; a piece's key is its index mod
+the piece count.  ``price_term`` converts each distinct phase once, and
+``gamma_codes`` gives a gamma block as its at most m + 1 distinct values
+and one integer code per entry, so ``systems --gamma-block`` renders
+each value once, in the same bytes.
 """
 from __future__ import annotations
 
@@ -301,14 +303,14 @@ def haar_term(cfg: GridConfig, nvec, coeff):
 
 def haar_pieces(cfg: GridConfig, term, cell: Cell, value) -> list:
     """The (cell, value) pieces of a cell of value `value` that meets the
-    support of `term` (from ``haar_term``): dimension by dimension, the
-    siblings of its path down to the support keep `value`, and the rest
-    splits on the support's children (or stays whole where it is finer),
-    each piece gaining the term's value there."""
+    support of `term` (``haar_term``, or a Price term in its shape): per
+    dimension, the siblings of its path down to the support keep `value`, and
+    the support's interval (the cell's own where finer) splits down to the
+    piece rank, each piece gaining the value at its key, index mod p."""
     _, dims, values = term
     out = []
     spans = list(zip(cell.ranks, cell.indices))
-    pieces = []  # per dimension: (rank, index, digit) on the support
+    pieces = []  # per dimension: (rank, index, key) on the support
     for j, (k, r, kid_rank, p) in enumerate(dims):
         seq = cfg.seqs[j]
         t = spans[j][0]
@@ -318,16 +320,15 @@ def haar_pieces(cfg: GridConfig, term, cell: Cell, value) -> list:
                 if sibling != step:
                     spans[j] = (rank + 1, sibling)
                     out.append((Cell(*zip(*spans)), value))
-        if t < kid_rank:
+        if t <= k:
             spans[j] = (k, r)
-            pieces.append([(kid_rank, n, x)
-                           for x, n in enumerate(seq.descendants(k, r, kid_rank))])
-        else:
-            n = spans[j][1]
-            pieces.append([(t, n, seq.ancestor(t, n, kid_rank) % p)])
+        fine = max(spans[j][0], kid_rank)
+        pieces.append([(fine, n, seq.ancestor(fine, n, kid_rank) % p)
+                       for n in seq.descendants(*spans[j], fine)])
     for combo in iter_product(*pieces):
-        ranks, indices, digits = zip(*combo)
-        out.append((Cell(ranks, indices), value + values[digits]))
+        ranks, indices, keys = zip(*combo)
+        piece = cell if ranks == cell.ranks and indices == cell.indices else Cell(ranks, indices)
+        out.append((piece, value + values[keys]))
     return out
 
 

@@ -810,6 +810,33 @@ def test_a_box_rank_beyond_the_grid_names_the_flag(tmp_path, capsys):
                          "--box '2:4'", "index 4 outside [0, 4)")
 
 
+_UNEQUAL_GRID = {"dims": 2, "seqs": [[2, 2, 2], [2, 2]], "depth": 2}
+
+
+def test_a_box_finer_than_a_shallow_dimension_names_the_flag(tmp_path, capsys):
+    # 3:1,0:0 is a valid box, but its rank-3 split does not exist in dimension 1
+    grid = _write(tmp_path / "g.json", _UNEQUAL_GRID)
+    _refused_before_work(capsys, ["decompose", "--grid", grid, "--box", "3:1,0:0"],
+                         "--box '3:1,0:0'", "finest rank 3 exceeds the depth 2 of dimension 1")
+
+
+def test_price_series_on_unequal_depths_is_recovered(tmp_path):
+    """A block-3 Price term on a grid whose second dimension stops at
+    depth 2: there is no uniform rank-3 grid, and none is needed."""
+    series = _write(tmp_path / "s.json", {"mode": "price", "grid": _UNEQUAL_GRID,
+                                          "entries": [[[7, 0], 1, 0]]})
+    family = _write(tmp_path / "f.json", {
+        "bound_c": ["1", "1"], "grid": _UNEQUAL_GRID, "schema_version": 1,
+        "members": [{"cells": [{"ranks": [0, 0], "indices": [0, 0]}], "values": [["8", "1"]]}]})
+    out = tmp_path / "r.json"
+    recover = ["recover", "--series", series, "--family", family, "--out", str(out)]
+    assert main(recover + ["--mode", "additive"]) == 0
+    assert json.loads(out.read_text())["passes"] is True
+    assert main(recover + ["--mode", "price", "--index", "7:0"]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["passes"] is True and doc["estimates"][-1] == ["1", "1"]
+
+
 @pytest.mark.parametrize("raw", ["", ","])
 def test_an_empty_j_list_is_refused_by_name(capsys, raw):
     started = time.perf_counter()

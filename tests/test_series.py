@@ -565,3 +565,56 @@ def test_price_majorant_builds_each_term_once(monkeypatch):
     sums = [_rebuilt_partial_sum(coeffs, k) for k in range(coeffs.stabilization_rank + 1)]
     assert repr(density) == repr(sums[-1])
     assert repr(majorant) == repr(reduce(pointwise_max, (sf.abs() for sf in sums)))
+
+
+def _agree(x, y):
+    """Equal when both values are exact, within 1e-12 otherwise."""
+    if isinstance(x, (int, Fraction)) and isinstance(y, (int, Fraction)):
+        return x == y
+    return abs(complex(x) - complex(y)) <= 1e-12
+
+
+def _deepest_cell_sums(coeffs):
+    """S_0, ..., S_R on the deepest cells, each cell's value the sum of
+    coeff * prod_j price_eval at the cell's digits: no partial sum needed."""
+    cfg = coeffs.cfg
+    digits = [[tuple(n // seq.widths[r + 1] % p for r, p in enumerate(seq.p))
+               for n in range(seq.moduli[-1])] for seq in cfg.seqs]
+    points = list(iter_product(*digits))  # per deepest cell, its digits in each dimension
+    terms = [(max(block_of_index(seq, k) for seq, k in zip(cfg.seqs, kvec)), [
+        prod(map(price_eval, cfg.seqs, kvec, pt), start=UnitValue.ONE).times(coeff)
+        for pt in points]) for kvec, coeff in coeffs.items()]
+    return [[sum(vals[i] for block, vals in terms if block <= k) for i in range(len(points))]
+            for k in range(coeffs.stabilization_rank + 1)]
+
+
+@settings(max_examples=100)
+@given(st.data())
+def test_price_tree_pass_matches_the_dense_fold(data):
+    """Price mode's density and majorant against S_0, ..., S_R, each term
+    built afresh, and their fold by pointwise_max.  In 1-D both add the
+    terms in the same order, so they agree by repr; in d >= 2 the pass adds
+    them in block order, so they agree per value on the uniform rank-R
+    grid; with unequal depths no such grid exists, and the reference is
+    the series evaluated at the deepest cells."""
+    cfg = data.draw(grids(max_cells=256))
+    kind = data.draw(st.sampled_from(sorted(_COEFF_VALUES)))
+    entries = data.draw(st.dictionaries(haar_indices(cfg), _COEFF_VALUES[kind],
+                                        min_size=1, max_size=6))
+    coeffs = CoeffMap(cfg, entries, "price")
+    density, majorant = stabilized_sum(coeffs), series_majorant(coeffs)
+    depths = tuple(seq.depth for seq in cfg.seqs)
+    if len(set(depths)) == 1:
+        ranks = (coeffs.stabilization_rank,) * cfg.dim
+        sums = [_rebuilt_partial_sum(coeffs, k) for k in range(coeffs.stabilization_rank + 1)]
+        fold = reduce(pointwise_max, (sf.abs() for sf in sums))
+        if cfg.dim == 1:
+            assert repr(density) == repr(sums[-1])
+            assert repr(majorant) == repr(fold)
+        want = sums[-1].values, fold.values
+    else:
+        ranks, sums = depths, _deepest_cell_sums(coeffs)
+        want = sums[-1], [max(value_abs(s[i]) for s in sums) for i in range(len(sums[0]))]
+    for got, ref in zip((density, majorant), want):
+        values = got.uniform_values(ranks)
+        assert len(values) == len(ref) and all(map(_agree, values, ref))
