@@ -159,8 +159,15 @@ class Cell:
     def __post_init__(self):
         if len(self.ranks) != len(self.indices):
             raise ValueError("ranks and indices must have equal length")
-        object.__setattr__(self, "ranks", tuple(map(int, self.ranks)))
-        object.__setattr__(self, "indices", tuple(map(int, self.indices)))
+        object.__setattr__(self, "ranks", tuple(int(v) for v in self.ranks))
+        object.__setattr__(self, "indices", tuple(int(v) for v in self.indices))
+
+    @classmethod
+    def of_ints(cls, ranks: tuple, indices: tuple) -> "Cell":
+        """A cell from equal-length int tuples, taken as given: no ``__post_init__``."""
+        cell = object.__new__(cls)
+        cell.__dict__.update(ranks=ranks, indices=indices)
+        return cell
 
     @property
     def dim(self) -> int:
@@ -274,10 +281,9 @@ def decompose_box(cfg: GridConfig, box: Cell) -> tuple[Cell, ...]:
     """
     box.validate(cfg)
     K = max(box.ranks)
-    for j, seq in enumerate(cfg.seqs):
-        if seq.depth < K:
-            raise DepthExhausted(f"the box's finest rank {K} exceeds the depth {seq.depth} "
-                                 f"of dimension {j}")
+    if K > cfg.min_depth:  # some dimension has no rank-K split
+        j, seq = next((j, seq) for j, seq in enumerate(cfg.seqs) if seq.depth < K)
+        raise DepthExhausted(f"the box's finest rank {K} exceeds the depth {seq.depth} of dimension {j}")
     ranges = [seq.descendants(k, n, K) for seq, k, n in zip(cfg.seqs, box.ranks, box.indices)]
     count = prod(len(r) for r in ranges)
     if count > MAX_UNIFORM_CELLS:

@@ -171,7 +171,7 @@ def _price_shape(cfg: GridConfig, kvec, coeff):
     """``price_term`` read into ``haar_pieces``' shape (see ``haar_term``)."""
     sf = price_term(cfg, kvec, coeff)
     dims = [(0, 0, t, seq.moduli[t]) for seq, t in zip(cfg.seqs, sf.cells[0].ranks)]
-    return full_cube(cfg.dim), dims, {cell.indices: v for cell, v in zip(sf.cells, sf.values)}
+    return full_cube(cfg.dim), dims, dict(zip(iter_product(*(range(d[3]) for d in dims)), sf.values))
 
 
 def _tree_pass(coeffs: CoeffMap) -> tuple[StepFunction, tuple]:
@@ -188,6 +188,9 @@ def _tree_pass(coeffs: CoeffMap) -> tuple[StepFunction, tuple]:
     """
     cfg = coeffs.cfg
     build = haar_term if coeffs.mode == "haar" else _price_shape
+    if coeffs.mode == "price":  # its leaves end on the uniform grid of each dimension's top block
+        uniform_sizes(cfg, [max(block_of_index(seq, n) for n in column)
+                            for seq, column in zip(cfg.seqs, zip(*coeffs.support()))])
     root = [full_cube(cfg.dim), 0, None, 0, None]  # cell, value, running max, block, children
     nodes = [root]
     for block, nvec, coeff in sorted((_index_block(cfg, nvec), nvec, coeff)

@@ -110,14 +110,14 @@ class StepFunction:
         ``values`` is flat in lexicographic cell order (last dimension
         fastest), length ``prod_j m_j(rank_vec[j])``.
         """
-        rank_vec = tuple(rank_vec)
+        rank_vec = tuple(map(int, rank_vec))
         sizes = uniform_sizes(cfg, rank_vec)
         total = prod(sizes)
         values = tuple(values)
         if len(values) != total:
             raise ValueError(f"expected {total} values, got {len(values)}")
         cells = tuple(
-            Cell(rank_vec, combo) for combo in iter_product(*(range(s) for s in sizes))
+            Cell.of_ints(rank_vec, combo) for combo in iter_product(*(range(s) for s in sizes))
         )
         return cls(cfg, cells, values)
 

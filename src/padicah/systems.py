@@ -319,7 +319,7 @@ def haar_pieces(cfg: GridConfig, term, cell: Cell, value) -> list:
             for sibling in seq.descendants(rank, seq.ancestor(k, r, rank), rank + 1):
                 if sibling != step:
                     spans[j] = (rank + 1, sibling)
-                    out.append((Cell(*zip(*spans)), value))
+                    out.append((Cell.of_ints(*zip(*spans)), value))
         if t <= k:
             spans[j] = (k, r)
         fine = max(spans[j][0], kid_rank)
@@ -327,8 +327,7 @@ def haar_pieces(cfg: GridConfig, term, cell: Cell, value) -> list:
                        for n in seq.descendants(*spans[j], fine)])
     for combo in iter_product(*pieces):
         ranks, indices, keys = zip(*combo)
-        piece = cell if ranks == cell.ranks and indices == cell.indices else Cell(ranks, indices)
-        out.append((piece, value + values[keys]))
+        out.append((Cell.of_ints(ranks, indices), value + values[keys]))
     return out
 
 

@@ -837,6 +837,20 @@ def test_price_series_on_unequal_depths_is_recovered(tmp_path):
     assert doc["passes"] is True and doc["estimates"][-1] == ["1", "1"]
 
 
+def test_a_price_density_over_the_cell_cap_is_refused(tmp_path, capsys):
+    """Each term spans 4096 cells, but the density of both ends on the
+    2^24-cell grid of the top blocks: refused before any cell is built."""
+    grid = {"dims": 2, "seqs": [[2] * 12] * 2, "depth": 12}
+    series = _write(tmp_path / "s.json", {"mode": "price", "grid": grid,
+                                          "entries": [[[2048, 0], 1, 0], [[0, 2048], 1, 0]]})
+    family = _write(tmp_path / "f.json", {
+        "bound_c": ["1", "1"], "grid": grid, "schema_version": 1,
+        "members": [{"cells": [{"ranks": [0, 0], "indices": [0, 0]}], "values": [["8", "1"]]}]})
+    _refused_before_work(capsys, ["recover", "--mode", "additive", "--series", series,
+                                  "--family", family, "--out", str(tmp_path / "r.json")],
+                         "16777216 cells", "4194304 cap")
+
+
 @pytest.mark.parametrize("raw", ["", ","])
 def test_an_empty_j_list_is_refused_by_name(capsys, raw):
     started = time.perf_counter()

@@ -574,18 +574,19 @@ def _agree(x, y):
     return abs(complex(x) - complex(y)) <= 1e-12
 
 
-def _deepest_cell_sums(coeffs):
-    """S_0, ..., S_R on the deepest cells, each cell's value the sum of
-    coeff * prod_j price_eval at the cell's digits: no partial sum needed."""
-    cfg = coeffs.cfg
-    digits = [[tuple(n // seq.widths[r + 1] % p for r, p in enumerate(seq.p))
-               for n in range(seq.moduli[-1])] for seq in cfg.seqs]
-    points = list(iter_product(*digits))  # per deepest cell, its digits in each dimension
-    terms = [(max(block_of_index(seq, k) for seq, k in zip(cfg.seqs, kvec)), [
-        prod(map(price_eval, cfg.seqs, kvec, pt), start=UnitValue.ONE).times(coeff)
-        for pt in points]) for kvec, coeff in coeffs.items()]
-    return [[sum(vals[i] for block, vals in terms if block <= k) for i in range(len(points))]
-            for k in range(coeffs.stabilization_rank + 1)]
+def _deepest_cell_sums(coeffs, ranks):
+    """S_0, ..., S_R as flat values on the uniform grid `ranks`, the terms
+    added in block order, then map order; each term is ``price_term``'s,
+    which test_price_term_matches_the_point_evaluator holds to price_eval
+    on every grid, unequal depths included."""
+    cfg, sums = coeffs.cfg, []
+    vals = [0] * len(StepFunction.constant(cfg, 0).uniform_values(ranks))
+    for k in range(coeffs.stabilization_rank + 1):
+        for kvec, coeff in coeffs.items():
+            if max(map(block_of_index, cfg.seqs, kvec)) == k:
+                vals = [a + b for a, b in zip(vals, price_term(cfg, kvec, coeff).uniform_values(ranks))]
+        sums.append(vals)
+    return sums
 
 
 @settings(max_examples=100)
@@ -596,7 +597,7 @@ def test_price_tree_pass_matches_the_dense_fold(data):
     terms in the same order, so they agree by repr; in d >= 2 the pass adds
     them in block order, so they agree per value on the uniform rank-R
     grid; with unequal depths no such grid exists, and the reference is
-    the series evaluated at the deepest cells."""
+    S_0, ..., S_R on the deepest cells, summed in the pass's order."""
     cfg = data.draw(grids(max_cells=256))
     kind = data.draw(st.sampled_from(sorted(_COEFF_VALUES)))
     entries = data.draw(st.dictionaries(haar_indices(cfg), _COEFF_VALUES[kind],
@@ -613,8 +614,9 @@ def test_price_tree_pass_matches_the_dense_fold(data):
             assert repr(majorant) == repr(fold)
         want = sums[-1].values, fold.values
     else:
-        ranks, sums = depths, _deepest_cell_sums(coeffs)
-        want = sums[-1], [max(value_abs(s[i]) for s in sums) for i in range(len(sums[0]))]
+        ranks, sums = depths, _deepest_cell_sums(coeffs, depths)
+        assert repr(density.uniform_values(ranks)) == repr(sums[-1])
+        want = sums[-1], [max(map(value_abs, column)) for column in zip(*sums)]
     for got, ref in zip((density, majorant), want):
         values = got.uniform_values(ranks)
         assert len(values) == len(ref) and all(map(_agree, values, ref))
