@@ -21,9 +21,9 @@ Two facts are then checked in exact rational arithmetic:
   on the exact cell values.  One pass per member (``member_passes``)
   feeds the tails, their cover check and the recoveries on every box.
 
-Row counts above 8 are refused: the point is an exactly checkable
-desk-scale instance, and deeper rows push the exact step values past
-the integer guard.
+Row counts above 8 are refused by ``MAX_ROWS``, to keep an exactly
+checkable desk-scale instance.  It is the only limit at 9 rows, which
+pass the integer guard; from 10 rows on the guard refuses the series too.
 """
 from __future__ import annotations
 

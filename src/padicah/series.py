@@ -2,8 +2,8 @@
 
 A CoeffMap assigns coefficients to multi-indices of the generalized Haar
 system (mode "haar") or the Price system (mode "price") over one grid.
-Every sum of terms is built from the systems' term builders
-(``add_haar_term``, ``price_term``).  Partial sums stabilize once the
+Every sum of terms is built by ``add_terms`` from the systems' term
+builders (``haar_term``, ``price_term``).  Partial sums stabilize once the
 cutoff rank reaches the map's stabilization rank R, so the stabilized
 sum S_R is a finite step function, the density of the induced additive
 function on cells:
@@ -13,8 +13,8 @@ function on cells:
 
 evaluated as one exact step-function integral over the (possibly
 mixed-rank) box.  In both modes S_R and its majorant sup_k |S_k| come
-from one pass down the support tree, which splits only the cells each
-term meets (``haar_pieces``).  Coefficients may be UnitValue objects, in
+from one ``add_terms`` pass down the support tree, which splits only the
+cells each term meets.  Coefficients may be UnitValue objects, in
 which case products with system values stay exact until the final
 conversion; this is what keeps integer-valued series (values up to the
 2**52 guard) exactly representable.
@@ -27,14 +27,13 @@ from itertools import product as iter_product
 from math import isfinite, isqrt, prod
 
 from .errors import ConfigMismatch, ValueGuardError
-from .grid import Cell, GridConfig, full_cube
-from .stepfn import StepFunction, leq_exact_or_float, pointwise_max, uniform_sizes, value_abs
+from .grid import Cell, GridConfig
+from .stepfn import StepFunction, pointwise_max, running_max, uniform_sizes, value_abs
 from .systems import (
     UnitValue,
-    add_haar_term,
+    add_terms,
     block_of_index,
     block_range,
-    haar_pieces,
     haar_sup_sq,
     haar_term,
     price_haar_matrix,
@@ -147,11 +146,11 @@ def partial_sum(coeffs: CoeffMap, N: int) -> StepFunction:
     added cell by cell, in the map's sorted order.
     """
     cfg, ranks = coeffs.cfg, (N,) * coeffs.cfg.dim
+    build = haar_term if coeffs.mode == "haar" else price_term
     vals = [0] * prod(uniform_sizes(cfg, ranks))
     for nvec, coeff in coeffs.items():
         if _index_block(cfg, nvec) <= N:
-            term = (add_haar_term(StepFunction.constant(cfg, 0), nvec, coeff)
-                    if coeffs.mode == "haar" else price_term(cfg, nvec, coeff))
+            term = add_terms(StepFunction.constant(cfg, 0), [(0, build(cfg, nvec, coeff))])[0]
             vals = [a + b for a, b in zip(vals, term.uniform_values(ranks))]
     return StepFunction.on_grid(cfg, ranks, vals)
 
@@ -160,61 +159,19 @@ def partial_sum(coeffs: CoeffMap, N: int) -> StepFunction:
 # the density and its majorant
 
 
-def _running_max(best, value):
-    """Fold |value| into a running maximum as ``pointwise_max`` does: on a
-    tie the earlier value stays; None means nothing is folded yet."""
-    new = value_abs(value)
-    return best if best is not None and leq_exact_or_float(new, best) else new
-
-
-def _price_shape(cfg: GridConfig, kvec, coeff):
-    """``price_term`` read into ``haar_pieces``' shape (see ``haar_term``)."""
-    sf = price_term(cfg, kvec, coeff)
-    dims = [(0, 0, t, seq.moduli[t]) for seq, t in zip(cfg.seqs, sf.cells[0].ranks)]
-    return full_cube(cfg.dim), dims, dict(zip(iter_product(*(range(d[3]) for d in dims)), sf.values))
-
-
 def _tree_pass(coeffs: CoeffMap) -> tuple[StepFunction, tuple]:
-    """S_R and the running maxima behind sup_k |S_k|, in one tree pass.
-
-    Terms go in block order, then map order, as ``add_haar_term`` would add
-    them to the whole step function; but each term only splits the leaves
-    that meet its support, found from the root down, into ``haar_pieces``.
-    So the leaves are that sum's cells with its values, bit for bit, and a
-    leaf's value once block k is in is S_k there.  A leaf also keeps the
-    block of its last change and the running maximum of |S_k| before it,
-    which ``series_majorant`` finishes.  Leaves are sorted once.  A term
-    on the whole cube (every Price term) meets every node.
-    """
+    """S_R and the running maxima behind sup_k |S_k|: ``add_terms`` on zero,
+    terms in block order, then map order, as the band sweep adds them.  A
+    Price pass is refused first if its leaves, on the uniform grid of each
+    dimension's top block, would exceed the cell cap."""
     cfg = coeffs.cfg
-    build = haar_term if coeffs.mode == "haar" else _price_shape
-    if coeffs.mode == "price":  # its leaves end on the uniform grid of each dimension's top block
+    build = haar_term if coeffs.mode == "haar" else price_term
+    if coeffs.mode == "price":
         uniform_sizes(cfg, [max(block_of_index(seq, n) for n in column)
                             for seq, column in zip(cfg.seqs, zip(*coeffs.support()))])
-    root = [full_cube(cfg.dim), 0, None, 0, None]  # cell, value, running max, block, children
-    nodes = [root]
-    for block, nvec, coeff in sorted((_index_block(cfg, nvec), nvec, coeff)
-                                     for nvec, coeff in coeffs.items()):
-        term = build(cfg, nvec, coeff)
-        support, stack = term[0], [root]
-        whole = not any(support.ranks)
-        while stack:
-            node = stack.pop()
-            if node[4] is not None:
-                stack.extend(kid for kid in node[4] if whole or kid[0].meets(cfg, support))
-                continue
-            cell, value, best, seen, _ = node
-            if seen < block:
-                best = _running_max(best, value)
-            pieces = haar_pieces(cfg, term, cell, value)
-            if len(pieces) == 1:
-                node[1:4] = pieces[0][1], best, block
-            else:
-                node[4] = [[piece, v, best, block, None] for piece, v in pieces]
-                nodes += node[4]
-    leaves = sorted((node for node in nodes if node[4] is None), key=lambda node: node[0].sort_key(cfg))
-    cells, values, bests, _, _ = zip(*leaves)
-    return StepFunction(cfg, cells, values), bests
+    terms = sorted((_index_block(cfg, nvec), nvec, coeff) for nvec, coeff in coeffs.items())
+    return add_terms(StepFunction.constant(cfg, 0),
+                     ((block, build(cfg, nvec, coeff)) for block, nvec, coeff in terms))
 
 
 def stabilized_sum(coeffs: CoeffMap) -> StepFunction:
@@ -230,7 +187,7 @@ def series_majorant(coeffs: CoeffMap) -> StepFunction:
     density's tree pass, on the density's cells, so each term is built once.
     """
     density, bests = coeffs._pass
-    return StepFunction(coeffs.cfg, density.cells, tuple(map(_running_max, bests, density.values)))
+    return StepFunction(coeffs.cfg, density.cells, tuple(map(running_max, bests, density.values)))
 
 
 # ---------------------------------------------------------------------------

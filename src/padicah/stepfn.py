@@ -47,6 +47,7 @@ def uniform_sizes(cfg: GridConfig, rank_vec) -> list[int]:
     return sizes
 
 _EXACT_TYPES = (int, Fraction)
+GUARD_BAND = 1e-12  # leq_with_guard's relative band, used only where a float entered
 
 
 def value_abs(v):
@@ -78,17 +79,17 @@ def leq_exact_or_float(a, b) -> bool:
     return float(a) <= float(b)
 
 
-def leq_with_guard(lhs, rhs, rel: float = 1e-12) -> bool:
+def leq_with_guard(lhs, rhs) -> bool:
     """lhs <= rhs, exact when both sides are exact: truncation's test.
 
-    Otherwise a double comparison with a relative guard band on the right
-    side, so that values within rounding noise of the threshold count as
-    below it (ties keep the value in truncation).
+    Otherwise a double comparison with the relative ``GUARD_BAND`` on the
+    right side, so that values within rounding noise of the threshold count
+    as below it (ties keep the value in truncation).
     """
     if isinstance(lhs, _EXACT_TYPES) and isinstance(rhs, _EXACT_TYPES):
         return lhs <= rhs
     lf, rf = float(lhs), float(rhs)
-    return lf <= rf + rel * max(abs(lf), abs(rf))
+    return lf <= rf + GUARD_BAND * max(abs(lf), abs(rf))
 
 
 @dataclass(frozen=True)
@@ -255,3 +256,10 @@ def zip_with(f: StepFunction, g: StepFunction, fn) -> StepFunction:
 def pointwise_max(f: StepFunction, g: StepFunction) -> StepFunction:
     """max(f, g) for real-valued step functions."""
     return zip_with(f, g, lambda a, b: a if leq_exact_or_float(b, a) else b)
+
+
+def running_max(best, value):
+    """Fold |value| into a running maximum as ``pointwise_max`` does: on a
+    tie the earlier value stays; None means nothing is folded yet."""
+    new = value_abs(value)
+    return best if best is not None and leq_exact_or_float(new, best) else new

@@ -15,17 +15,20 @@ Values are carried as UnitValue objects (sqrt of an integer times a root
 of unity with exact rational phase) so that products of system values and
 exact coefficients never round until the final conversion to a number.
 
-Each system has one term builder that lays coeff times a tensor basis
-function on cells, ``add_haar_term`` and ``price_term``: tables, partial
-sums and recovery bases go through them.  One rule (``haar_pieces``)
-splits each cell a term meets: a Haar term's pieces are the p_{k+1}
-children of its rank-k support, a Price term's the m_t cells of its
-block rank t; a cell coarser than the pieces splits the support's
-interval if it holds it, else its own; a piece's key is its index mod
-the piece count.  ``price_term`` converts each distinct phase once, and
-``gamma_codes`` gives a gamma block as its at most m + 1 distinct values
-and one integer code per entry, so ``systems --gamma-block`` renders
-each value once, in the same bytes.
+Each system has one term builder, ``haar_term`` and ``price_term``, and
+both give coeff times a tensor basis function in one shape: a support
+cell, per dimension its rank and index and the rank and count of its
+pieces, and the value on each piece.  One adder, ``add_terms``, adds such
+terms to any step function, splitting only the cells each term meets by
+one rule (``haar_pieces``): a Haar term's pieces are the p_{k+1} children
+of its rank-k support, a Price term's the m_t cells of its block rank t;
+a cell coarser than the pieces splits the support's interval if it holds
+it, else its own; a piece's key is its index mod the piece count.
+Tables, partial sums, series densities and recovery bases go through it;
+``tensor_price_step`` lays a Price term on its uniform grid instead.
+``price_term`` converts each distinct phase once, and ``gamma_codes``
+gives a gamma block as its at most m + 1 distinct values and one integer
+code per entry, so ``systems --gamma-block`` renders each value once.
 """
 from __future__ import annotations
 
@@ -39,8 +42,8 @@ from math import isqrt, lcm, prod, sqrt
 from operator import mul
 
 from .errors import ConfigMismatch, DepthExhausted
-from .grid import BranchSeq, Cell, GridConfig, PointCode
-from .stepfn import MAX_UNIFORM_CELLS, StepFunction, uniform_sizes, zip_with
+from .grid import BranchSeq, Cell, GridConfig, PointCode, full_cube
+from .stepfn import MAX_UNIFORM_CELLS, StepFunction, running_max, uniform_sizes, zip_with
 
 _HALF = Fraction(1, 2)
 
@@ -303,10 +306,10 @@ def haar_term(cfg: GridConfig, nvec, coeff):
 
 def haar_pieces(cfg: GridConfig, term, cell: Cell, value) -> list:
     """The (cell, value) pieces of a cell of value `value` that meets the
-    support of `term` (``haar_term``, or a Price term in its shape): per
-    dimension, the siblings of its path down to the support keep `value`, and
-    the support's interval (the cell's own where finer) splits down to the
-    piece rank, each piece gaining the value at its key, index mod p."""
+    support of `term` (``haar_term`` or ``price_term``): per dimension, the
+    siblings of its path down to the support keep `value`, and the support's
+    interval (the cell's own where finer) splits down to the piece rank,
+    each piece gaining the value at its key, index mod p."""
     _, dims, values = term
     out = []
     spans = list(zip(cell.ranks, cell.indices))
@@ -331,23 +334,43 @@ def haar_pieces(cfg: GridConfig, term, cell: Cell, value) -> list:
     return out
 
 
-def add_haar_term(sf: StepFunction, nvec, coeff) -> StepFunction:
-    """sf + coeff * chi_{n_1} x ... x chi_{n_d}, refined only where the term lives.
-
-    Per dimension the term lives on one rank-k_j support cell (the whole
-    interval for n_j = 0), constant on its p_{k_j+1} children.  Cells of
-    sf missing the support keep their values untouched; a cell meeting it
-    becomes its ``haar_pieces``.
-    """
+def add_terms(sf: StepFunction, terms) -> tuple[StepFunction, tuple]:
+    """sf plus the terms of ``(block, term)`` pairs, in order, and per cell the
+    ``running_max`` of |sum| over the blocks before its last change.  Each
+    term splits only the leaves under sf's cells that meet its support, found
+    from those roots down, into ``haar_pieces``; so with terms in block order
+    a leaf's value once block k is in is the sum of blocks <= k there."""
     cfg = sf.cfg
-    term = haar_term(cfg, nvec, coeff)
-    out = []
-    for cell, value in zip(sf.cells, sf.values):
-        if cell.meets(cfg, term[0]):
-            out.extend(haar_pieces(cfg, term, cell, value))
-        else:
-            out.append((cell, value))
-    return StepFunction.from_pieces(cfg, out)
+    roots = [[cell, value, None, 0, None] for cell, value in zip(sf.cells, sf.values)]
+    nodes = list(roots)  # cell, value, running max, block, children
+    for block, term in terms:
+        support = term[0]
+        whole = not any(support.ranks)
+        stack = [node for node in roots if whole or node[0].meets(cfg, support)]
+        while stack:
+            node = stack.pop()
+            if node[4] is not None:
+                stack.extend(kid for kid in node[4] if whole or kid[0].meets(cfg, support))
+                continue
+            cell, value, best, seen, _ = node
+            if seen < block:
+                best = running_max(best, value)
+            pieces = haar_pieces(cfg, term, cell, value)
+            if len(pieces) == 1:
+                node[1:4] = pieces[0][1], best, block
+            else:
+                node[4] = [[piece, v, best, block, None] for piece, v in pieces]
+                nodes += node[4]
+    leaves = sorted((node for node in nodes if node[4] is None), key=lambda node: node[0].sort_key(cfg))
+    cells, values, bests, _, _ = zip(*leaves)
+    return StepFunction(cfg, cells, values), bests
+
+
+def add_haar_term(sf: StepFunction, nvec, coeff) -> StepFunction:
+    """sf + coeff * chi_{n_1} x ... x chi_{n_d}, refined only where the term
+    lives: cells of sf missing its support keep their values untouched, and
+    a cell meeting it becomes its ``haar_pieces``."""
+    return add_terms(sf, [(0, haar_term(sf.cfg, nvec, coeff))])[0]
 
 
 def tensor_haar_step(cfg: GridConfig, nvec) -> StepFunction:
@@ -370,27 +393,30 @@ def _price_row(seq: BranchSeq, k: int, modulus: int) -> list[int]:
     return exponents
 
 
-def price_term(cfg: GridConfig, kvec, coeff) -> StepFunction:
-    """coeff * psi_{k_1} x ... x psi_{k_d} on the uniform grid of its block
-    ranks: dense, since it is nowhere zero, and refused before it is built
-    beyond the cell cap.  UnitValue coefficients stay exact; each distinct
-    phase E / lcm(m_{t_j}) is converted once."""
+def price_term(cfg: GridConfig, kvec, coeff):
+    """coeff * psi_{k_1} x ... x psi_{k_d} in ``haar_term``'s shape: the whole
+    cube as support, (0, 0, t, m_t) per dimension of block rank t, and the
+    value on every cell of those ranks, keyed by index in ``on_grid`` order.
+    Refused before it is built beyond the cell cap.  UnitValue coefficients
+    stay exact; each distinct phase E / lcm(m_{t_j}) is converted once."""
     kvec = tuple(kvec)
     if len(kvec) != cfg.dim:
         raise ConfigMismatch(f"index has {len(kvec)} entries, grid has {cfg.dim} dims")
-    ranks = tuple(block_of_index(seq, k) for seq, k in zip(cfg.seqs, kvec))
-    uniform_sizes(cfg, ranks)  # the cap, checked before any row is built
-    big = lcm(*(seq.modulus(t) for seq, t in zip(cfg.seqs, ranks)))
+    ranks = [block_of_index(seq, k) for seq, k in zip(cfg.seqs, kvec)]
+    sizes = uniform_sizes(cfg, ranks)  # the cap, checked before any row is built
+    big = lcm(*sizes)
     phases = [0]
     for seq, k in zip(cfg.seqs, kvec):
         phases = [(a + b) % big for a in phases for b in _price_row(seq, k, big)]
     value = {e: UnitValue(1, Fraction(e, big)).times(coeff) for e in set(phases)}
-    return StepFunction.on_grid(cfg, ranks, [value[e] for e in phases])
+    dims = [(0, 0, t, m) for t, m in zip(ranks, sizes)]
+    return full_cube(cfg.dim), dims, dict(zip(iter_product(*map(range, sizes)), map(value.get, phases)))
 
 
 def tensor_price_step(cfg: GridConfig, kvec) -> StepFunction:
-    """psi_{k_1} x ... x psi_{k_d}: the Price term with coefficient one."""
-    return price_term(cfg, kvec, UnitValue.ONE)
+    """psi_{k_1} x ... x psi_{k_d}: the Price term with coefficient one, laid densely."""
+    _, dims, values = price_term(cfg, kvec, UnitValue.ONE)
+    return StepFunction.on_grid(cfg, [d[2] for d in dims], values.values())
 
 
 def conj(v):

@@ -96,6 +96,10 @@ def test_coeff_map_exactness_guard():
         CoeffMap(cfg, {(0,): 2 ** 53}, "haar")
     # float coefficients are not subject to the guard
     CoeffMap(cfg, {(0,): 2.0 ** 53}, "haar")
+    # nor is any map holding one: a float beside a huge exact value lifts it
+    CoeffMap(cfg, {(1,): 10 ** 20, (2,): 1.0}, "haar")
+    with pytest.raises(ValueGuardError):
+        CoeffMap(cfg, {(1,): 10 ** 20}, "haar")
 
 
 def test_partial_sum_matches_pointwise_definition():
@@ -544,7 +548,9 @@ def _rebuilt_partial_sum(coeffs, N):
     vals = [0] * len(StepFunction.constant(cfg, 0).uniform_values(ranks))
     for nvec, coeff in coeffs.items():
         if max(block_of_index(seq, n) for seq, n in zip(cfg.seqs, nvec)) <= N:
-            vals = [a + b for a, b in zip(vals, price_term(cfg, nvec, coeff).uniform_values(ranks))]
+            _, dims, term = price_term(cfg, nvec, coeff)  # laid densely, not by add_terms
+            laid = StepFunction.on_grid(cfg, [d[2] for d in dims], term.values())
+            vals = [a + b for a, b in zip(vals, laid.uniform_values(ranks))]
     return StepFunction.on_grid(cfg, ranks, vals)
 
 
@@ -584,7 +590,9 @@ def _deepest_cell_sums(coeffs, ranks):
     for k in range(coeffs.stabilization_rank + 1):
         for kvec, coeff in coeffs.items():
             if max(map(block_of_index, cfg.seqs, kvec)) == k:
-                vals = [a + b for a, b in zip(vals, price_term(cfg, kvec, coeff).uniform_values(ranks))]
+                _, dims, term = price_term(cfg, kvec, coeff)
+                laid = StepFunction.on_grid(cfg, [d[2] for d in dims], term.values())
+                vals = [a + b for a, b in zip(vals, laid.uniform_values(ranks))]
         sums.append(vals)
     return sums
 

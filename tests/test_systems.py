@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import re
 from fractions import Fraction
 from functools import reduce
 from itertools import product
@@ -13,12 +14,15 @@ from hypothesis import strategies as st
 
 from padicah import (
     BranchSeq,
+    CoeffMap,
     GridConfig,
+    StepFunction,
     UnitValue,
     block_range,
     classical_from_flat,
     classical_haar_eval,
     classical_to_flat,
+    full_cube,
     gen_haar_eval,
     haar_decode,
     haar_encode,
@@ -28,6 +32,7 @@ from padicah import (
     price_encode,
     price_eval,
     price_haar_matrix,
+    stabilized_sum,
     tensor_haar_step,
     tensor_price_step,
 )
@@ -322,9 +327,28 @@ def test_price_term_converts_each_distinct_phase_once(monkeypatch):
     calls = []
     times = UnitValue.times
     monkeypatch.setattr(UnitValue, "times", lambda uv, coeff: calls.append(uv) or times(uv, coeff))
-    term = price_term(cfg, kvec, complex(0.5, -0.25))
-    assert len(term.values) == 12 * 30
+    _, _, values = price_term(cfg, kvec, complex(0.5, -0.25))
+    assert len(values) == 12 * 30
     assert 0 < len(calls) <= math.lcm(12, 30)
+
+
+def test_term_caps_refuse_before_any_value_is_built(monkeypatch):
+    """Over the 2**22-cell cap, Haar and Price terms are refused on the
+    library path before a single basis value is built: building them would
+    take gigabytes, so a value built first fails the test at once."""
+    def built(*_):
+        raise AssertionError("a term value was built before the cap check")
+
+    monkeypatch.setattr(UnitValue, "__post_init__", built)
+    cfg = GridConfig.from_lists([[2 ** 23]])
+    haar = "Haar term (1,) spans up to 8388608 cells, which exceeds the 4194304 cap"
+    with pytest.raises(ValueError, match=re.escape(haar)):
+        tensor_haar_step(cfg, (1,))
+    with pytest.raises(ValueError, match=re.escape(haar)):
+        stabilized_sum(CoeffMap(cfg, {(1,): 1}, "haar"))
+    cfg = GridConfig.from_lists([[2] * 12] * 2)
+    with pytest.raises(ValueError, match="uniform grid of 16777216 cells exceeds the 4194304 cap"):
+        tensor_price_step(cfg, (2048, 2048))
 
 
 def test_haar_encode_rejects_bad_args():
@@ -381,7 +405,12 @@ def test_price_term_matches_the_point_evaluator(data):
     cfg = data.draw(st.one_of(st.sampled_from(_MIXED_RADIX_GRIDS), grids()))
     kvec = data.draw(haar_indices(cfg))
     coeff = data.draw(_COEFFS)
-    term = price_term(cfg, kvec, coeff)
+    support, dims, values = price_term(cfg, kvec, coeff)
+    ranks = [len(price_digits(seq, k)) for seq, k in zip(cfg.seqs, kvec)]
+    assert support == full_cube(cfg.dim)
+    assert dims == [(0, 0, t, seq.modulus(t)) for seq, t in zip(cfg.seqs, ranks)]
+    assert list(values) == list(product(*(range(seq.modulus(t)) for seq, t in zip(cfg.seqs, ranks))))
+    term = StepFunction.on_grid(cfg, ranks, values.values())  # laid densely
     want = [
         reduce(mul, (price_eval(seq, k, digits) for seq, k, digits in
                      zip(cfg.seqs, kvec, idx))).times(coeff)
@@ -389,4 +418,3 @@ def test_price_term_matches_the_point_evaluator(data):
     ]
     got = term.uniform_values(tuple(seq.depth for seq in cfg.seqs))
     assert list(map(repr, got)) == list(map(repr, want))
-    assert term.max_ranks() == tuple(len(price_digits(seq, k)) for seq, k in zip(cfg.seqs, kvec))
