@@ -98,11 +98,6 @@ class GridConfig:
         return len(self.seqs)
 
     @property
-    def bound(self) -> int:
-        """max p over all dimensions (the global branching bound)."""
-        return max(max(seq.p) for seq in self.seqs)
-
-    @property
     def min_depth(self) -> int:
         """Deepest rank valid across every dimension."""
         return min(seq.depth for seq in self.seqs)
@@ -172,12 +167,6 @@ class Cell:
     @property
     def dim(self) -> int:
         return len(self.ranks)
-
-    @property
-    def uniform_rank(self):
-        """The common rank if all dimensions agree, else None."""
-        k = self.ranks[0]
-        return k if all(r == k for r in self.ranks) else None
 
     def validate(self, cfg: GridConfig) -> None:
         if self.dim != cfg.dim:
@@ -305,9 +294,6 @@ class PointCode:
     @property
     def dim(self) -> int:
         return len(self.digits)
-
-    def depth(self, j: int = 0) -> int:
-        return len(self.digits[j])
 
 
 def point_code(cfg: GridConfig, *digit_rows) -> PointCode:

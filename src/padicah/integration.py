@@ -22,12 +22,11 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import sqrt
 
 from .errors import ConfigMismatch
 from .grid import Cell, GridConfig, cell_from_json_dict, full_cube, validate_partition
 from .parallel import parallel_map
-from .reports import SCHEMA_VERSION, cell_json, encode_value, encode_values, rational_pair
+from .reports import SCHEMA_VERSION, cell_json, encode_value, encode_values
 from .stepfn import (
     StepFunction,
     box_weights,
@@ -167,16 +166,6 @@ class HFamily:
     def __len__(self) -> int:
         return len(self.members)
 
-    def scaled(self, factors) -> "HFamily":
-        """Member-wise scaling h_m -> factors[m] * h_m (partitions kept)."""
-        factors = list(factors)
-        if len(factors) != len(self.members):
-            raise ValueError("need one factor per member")
-        members = tuple(
-            h.map_values(lambda v, a=a: a * v) for h, a in zip(self.members, factors)
-        )
-        return HFamily(self.cfg, members, self.partitions, self.bound_C)
-
     @cached_property
     def report(self) -> "FamilyCheckReport":
         """check_family(self), computed once per family object."""
@@ -300,9 +289,6 @@ class AhIntegralReport:
     def integrable(self) -> bool:
         return self.converged and self.admissible
 
-    def value(self):
-        return self.values[-1]
-
     def to_json_dict(self) -> dict:
         return {
             "a_clause": encode_values(self.a_clause),
@@ -391,47 +377,7 @@ def _settle_index(values, tol: float):
 
 
 # ---------------------------------------------------------------------------
-# rescaling a family from observed tails
-
-
-@dataclass(frozen=True)
-class UpgradeResult:
-    """A rescaled family g_m = alpha_m * h_m and the diagnostics behind it."""
-
-    family: HFamily
-    alphas: tuple
-    scaled_tails: tuple
-    hypothesis_violated: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "alphas": list(self.alphas),
-            "hypothesis_violated": self.hypothesis_violated,
-            "scaled_tails": [float(t) for t in self.scaled_tails],
-            "schema_version": SCHEMA_VERSION,
-        }
-
-
-def family_to_json_dict(fam: HFamily) -> dict:
-    """JSON form: grid, per-member cell lists with [num, den] values.
-
-    A member's partition is written only when it differs from the
-    member's own cells."""
-    members = []
-    for h, part in zip(fam.members, fam.partitions):
-        entry = {
-            "cells": [cell_json(c) for c in h.cells],
-            "values": [rational_pair(v) for v in h.values],
-        }
-        if part != h.cells:
-            entry["partition"] = [cell_json(c) for c in part]
-        members.append(entry)
-    return {
-        "bound_c": rational_pair(fam.bound_C),
-        "grid": fam.cfg.to_json_dict(),
-        "members": members,
-        "schema_version": SCHEMA_VERSION,
-    }
+# family file format
 
 
 def _rational_from_json(raw, where: str) -> Fraction:
@@ -493,40 +439,3 @@ def family_from_json_dict(data) -> HFamily:
     raw_bound = data.get("bound_c")
     bound = _rational_from_json(raw_bound, "bound_c") if raw_bound is not None else Fraction(1)
     return HFamily.from_members(members, partitions=partitions, bound_C=bound)
-
-
-def upgrade_family(fam: HFamily, tails) -> UpgradeResult:
-    """Rescale by alpha_m = (sup_{k>=m} t_k + 1/m)^(-1/2), clamped nondecreasing.
-
-    alpha_m * t_m <= sqrt(sup_{k>=m} t_k), so when the tails genuinely
-    decay the rescaled family diverges while its own tails still vanish.
-    The hypothesis flag is the finite-family rendering of "t_m -> 0":
-    raised when the running tail suprema fail to decrease (or the last
-    tail exceeds 1)."""
-    tails = list(tails)
-    if len(tails) != len(fam):
-        raise ValueError(f"need {len(fam)} tail values, got {len(tails)}")
-    for t in tails:
-        if isinstance(t, complex) or t < 0:
-            raise ValueError("tails must be nonnegative reals")
-    if all(all(v == 0 for v in h.values) for h in fam.members):
-        raise ValueError("every member vanishes identically; nothing to rescale")
-    sup_tails = [max(tails[i:]) for i in range(len(tails))]
-    alphas = []
-    for i, sup in enumerate(sup_tails):
-        m = i + 1
-        a = 1.0 / sqrt(float(sup) + 1.0 / m)
-        if alphas and a < alphas[-1]:
-            a = alphas[-1]
-        alphas.append(a)
-    first, last = sup_tails[0], sup_tails[-1]
-    violated = not leq_exact_or_float(last, 1) or (
-        not leq_exact_or_float(last, 0) and leq_exact_or_float(first, last)
-    )
-    scaled = tuple(a * float(t) for a, t in zip(alphas, tails))
-    return UpgradeResult(
-        family=fam.scaled(alphas),
-        alphas=tuple(alphas),
-        scaled_tails=scaled,
-        hypothesis_violated=violated,
-    )

@@ -232,15 +232,6 @@ class LambdaConditionReport:
     measures: tuple
     products: tuple
 
-    def to_json_dict(self) -> dict:
-        return {
-            "box": cell_json(self.box),
-            "lambdas": encode_values(self.lambdas),
-            "measures": encode_values(self.measures),
-            "products": encode_values(self.products),
-            "schema_version": SCHEMA_VERSION,
-        }
-
 
 def lambda_condition_check(af: AdditiveFn, lambdas, box: Cell | None = None) -> LambdaConditionReport:
     """Tabulate lambda * mu{x in box : Psi*(x) > lambda}, all exact.

@@ -22,13 +22,12 @@ conversion; this is what keeps integer-valued series (values up to the
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, reduce
-from itertools import product as iter_product
+from functools import cached_property
 from math import isfinite, isqrt, prod
 
 from .errors import ConfigMismatch, ValueGuardError
 from .grid import Cell, GridConfig
-from .stepfn import StepFunction, pointwise_max, running_max, uniform_sizes, value_abs
+from .stepfn import StepFunction, running_max, uniform_sizes
 from .systems import (
     UnitValue,
     add_terms,
@@ -103,9 +102,6 @@ class CoeffMap:
     def items(self):
         return self._entries.items()
 
-    def __len__(self):
-        return len(self._entries)
-
     def support(self):
         return tuple(self._entries)
 
@@ -123,17 +119,6 @@ class CoeffMap:
     def _pass(self) -> tuple[StepFunction, tuple]:
         """S_R and the running maxima behind its majorant, per map."""
         return _tree_pass(self)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CoeffMap)
-            and self.cfg == other.cfg
-            and self.mode == other.mode
-            and self._entries == other._entries
-        )
-
-    def __repr__(self):
-        return f"CoeffMap(mode={self.mode!r}, {len(self._entries)} entries)"
 
 
 def partial_sum(coeffs: CoeffMap, N: int) -> StepFunction:
@@ -195,32 +180,16 @@ def series_majorant(coeffs: CoeffMap) -> StepFunction:
 
 
 class AdditiveFn:
-    """Additive function on cells, induced by a series or a density table."""
+    """Additive function on cells, induced by a finitely supported series."""
 
-    def __init__(self, cfg: GridConfig, coeffs: CoeffMap | None = None,
-                 density: StepFunction | None = None):
-        if (coeffs is None) == (density is None):
-            raise ValueError("provide exactly one of coeffs or density")
-        self.cfg = cfg
+    def __init__(self, coeffs: CoeffMap):
+        self.cfg = coeffs.cfg
         self.coeffs = coeffs
-        self._density = density
         self._majorant = None
 
     @classmethod
     def from_series(cls, coeffs: CoeffMap) -> "AdditiveFn":
-        return cls(coeffs.cfg, coeffs=coeffs)
-
-    @classmethod
-    def from_table(cls, cfg: GridConfig, rank: int, values) -> "AdditiveFn":
-        """Back the function by explicit rank-R cell densities."""
-        density = StepFunction.on_grid(cfg, (rank,) * cfg.dim, values)
-        return cls(cfg, density=density)
-
-    @property
-    def stabilization_rank(self) -> int:
-        if self.coeffs is not None:
-            return self.coeffs.stabilization_rank
-        return max(self._density.max_ranks())
+        return cls(coeffs)
 
     def value_on(self, box: Cell):
         """Psi(box): the integral of the density Psi' = S_R over the box,
@@ -229,40 +198,13 @@ class AdditiveFn:
 
     def derivative(self) -> StepFunction:
         """The rank-R density: Psi(I)/mu(I) on rank-R cells, as a step function."""
-        if self._density is None:
-            self._density = stabilized_sum(self.coeffs)
-        return self._density
+        return stabilized_sum(self.coeffs)
 
     def majorant(self) -> StepFunction:
         """Psi*(x) = sup_N |S_N(x)| (equivalently the ancestor-ratio maximum)."""
         if self._majorant is None:
-            if self.coeffs is not None:
-                self._majorant = series_majorant(self.coeffs)
-            else:
-                self._majorant = self._table_majorant()
+            self._majorant = series_majorant(self.coeffs)
         return self._majorant
-
-    def _table_majorant(self) -> StepFunction:
-        """Running maximum of |density| and its averages E_k on the uniform
-        rank-k cells, k < R, by Paley's pyramid: E_R is the density on the
-        uniform rank-R grid, and E_k on a cell is the mean of E_{k+1} over
-        its children, an exact Fraction when the values are exact."""
-        density, cfg, R = self._density, self.cfg, max(self._density.max_ranks())
-        level = density.uniform_values((R,) * cfg.dim)  # refused over the cell cap
-        averages = []
-        for k in range(R - 1, -1, -1):
-            strides = [prod(seq.moduli[k + 1] for seq in cfg.seqs[j + 1:]) for j in range(cfg.dim)]
-            count = prod(seq.p[k] for seq in cfg.seqs)
-            means = []
-            for combo in iter_product(*(range(seq.moduli[k]) for seq in cfg.seqs)):
-                kids = iter_product(*(seq.descendants(k, n, k + 1)
-                                      for seq, n in zip(cfg.seqs, combo)))
-                total = sum(level[sum(i * s for i, s in zip(kid, strides))] for kid in kids)
-                means.append(Fraction(total, count) if isinstance(total, (int, Fraction))
-                             else total / count)
-            level = means
-            averages.append(StepFunction.on_grid(cfg, (k,) * cfg.dim, map(value_abs, level)))
-        return reduce(pointwise_max, reversed(averages), density.abs())
 
 
 # ---------------------------------------------------------------------------
@@ -316,31 +258,6 @@ def _transform(coeffs: CoeffMap, to_mode: str) -> CoeffMap:
 
 # ---------------------------------------------------------------------------
 # coefficient file format
-
-
-def coeffs_to_json_dict(coeffs: CoeffMap) -> dict:
-    """JSON form: mode, grid, and [index..., re, im] entry rows.
-
-    Integral values are emitted as exact integers; irrational coefficients
-    (UnitValue with non-square radicand) degrade to floats in this format.
-    """
-    entries = []
-    for nvec, value in coeffs.items():
-        num = value.as_number() if isinstance(value, UnitValue) else value
-        if isinstance(num, Fraction) and num.denominator == 1:
-            num = int(num)
-        if isinstance(num, int):
-            re, im = num, 0
-        elif isinstance(num, complex):
-            re, im = num.real, num.imag
-        else:
-            re, im = float(num), 0
-        entries.append([list(nvec), re, im])
-    return {
-        "mode": coeffs.mode,
-        "grid": coeffs.cfg.to_json_dict(),
-        "entries": entries,
-    }
 
 
 def coeffs_from_json_dict(data: dict) -> CoeffMap:

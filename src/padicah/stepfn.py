@@ -138,11 +138,6 @@ class StepFunction:
     def dim(self) -> int:
         return self.cfg.dim
 
-    def max_ranks(self) -> tuple[int, ...]:
-        return tuple(
-            max(c.ranks[j] for c in self.cells) for j in range(self.dim)
-        )
-
     def value_at(self, pt: PointCode):
         """Value of the unique cell containing the point's deepest cell."""
         cfg = self.cfg

@@ -9,6 +9,8 @@ import pytest
 
 from padicah.cli import main
 from padicah.counterexample import ExampleSpec
+from padicah.reports import encode_value
+from padicah.series import coeffs_from_json_dict, haar_coeffs_from_price
 
 
 def _write(path, doc):
@@ -164,6 +166,25 @@ def test_recover_price_adds_gamma_cross_check(tmp_path):
     doc = json.loads(out.read_text())
     assert "gamma_reference" in doc
     assert doc["gamma_error"] <= 1e-9
+
+
+@pytest.mark.parametrize("index", [1, 2, 3, 6])
+def test_recover_haar_on_a_price_series_reads_the_gamma_path(tmp_path, index):
+    """A Haar coefficient of a Price series has no entry in the file: its
+    reference is the series' Haar side, by the exact basis change."""
+    grid = {"dims": 1, "seqs": [[2, 3, 2]], "depth": 3}
+    price_doc = {"mode": "price", "grid": grid,
+                 "entries": [[[1], 2, 0], [[3], -1, 0.5], [[6], 0.5, 0]]}
+    series = _write(tmp_path / "s.json", price_doc)
+    family = _write(tmp_path / "f.json", {**_family_doc(), "grid": grid})
+    out = tmp_path / "r.json"
+    rc = main(["recover", "--mode", "haar", "--series", series, "--family", family,
+               "--index", str(index), "--out", str(out)])
+    assert rc == 0
+    doc = json.loads(out.read_text())
+    want = haar_coeffs_from_price(coeffs_from_json_dict(price_doc)).get((index,))
+    assert doc["reference"] == encode_value(want)
+    assert doc["final_error"] <= doc["tol"]
 
 
 def test_recover_additive_box(tmp_path):

@@ -54,7 +54,6 @@ def test_grid_config_basic():
     cfg = GridConfig.from_lists([[2, 3, 2], [3, 3]])
     assert cfg.dim == 2
     assert cfg.min_depth == 2
-    assert cfg.bound == 3
 
 
 def test_grid_json_round_trip():
@@ -105,8 +104,6 @@ def test_full_cube_and_uniform_rank():
     box = full_cube(3)
     assert box.ranks == (0, 0, 0)
     assert box.indices == (0, 0, 0)
-    assert Cell((2, 2), (1, 3)).uniform_rank == 2
-    assert Cell((1, 2), (0, 0)).uniform_rank is None
 
 
 def test_refine_cell_partitions_parent():

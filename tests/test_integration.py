@@ -14,13 +14,11 @@ from padicah import (
     ah_integral,
     check_family,
     family_from_json_dict,
-    family_to_json_dict,
     full_cube,
     level_measure,
     tail_integral,
     tail_with_ties,
     truncate,
-    upgrade_family,
 )
 from strategies import grids, split
 
@@ -309,55 +307,24 @@ def test_ah_integral_tie_measures_reported():
     assert rep.adm_ties["1"] == (Fraction(1, 2),)
 
 
-def test_upgrade_family_zero_tails():
-    import math
-
-    fam = _const_family(_dyadic(8))
-    up = upgrade_family(fam, [0, 0, 0, 0])
-    assert not up.hypothesis_violated
-    for m, a in enumerate(up.alphas, start=1):
-        assert abs(a - math.sqrt(m)) < 1e-12
-    assert len(up.family.members) == 4
-    # rescaled family is still monotone (alphas nondecreasing on constants)
-    assert check_family(up.family).monotone_ok
-
-
-def test_upgrade_family_flat_tails_flagged():
-    fam = _const_family(_dyadic(8))
-    up = upgrade_family(fam, [Fraction(1, 2)] * 4)
-    assert up.hypothesis_violated
-
-
-def test_upgrade_family_decaying_tails():
-    fam = _const_family(_dyadic(8))
-    up = upgrade_family(fam, [Fraction(1, 2), Fraction(1, 8), Fraction(1, 32), 0])
-    assert not up.hypothesis_violated
-    assert list(up.alphas) == sorted(up.alphas)
-    # scaled tails alpha_m * t_m stay bounded by sqrt(sup tail)
-    for a, t, s in zip(up.alphas, [Fraction(1, 2), Fraction(1, 8), Fraction(1, 32), 0], up.scaled_tails):
-        assert abs(float(a) * float(t) - float(s)) < 1e-12
-
-
-def test_upgrade_family_length_mismatch():
-    fam = _const_family(_dyadic(8))
-    with pytest.raises(ValueError):
-        upgrade_family(fam, [0, 0])
-
-
 def test_family_json_round_trip():
-    cfg = _dyadic(2)
-    m1 = StepFunction.on_grid(cfg, (1,), [2, 3])
-    m2 = StepFunction.on_grid(cfg, (1,), [Fraction(9, 2), 5])
-    fam = HFamily.from_members([m1, m2], bound_C=Fraction(2))
-    doc = family_to_json_dict(fam)
-    assert doc["schema_version"] == 1
-    assert doc["bound_c"] == ["2", "1"]
+    halves = [{"ranks": [1], "indices": [0]}, {"ranks": [1], "indices": [1]}]
+    doc = {
+        "bound_c": ["2", "1"],
+        "grid": {"dims": 1, "seqs": [[2, 2]], "depth": 2},
+        "members": [
+            {"cells": halves, "values": [["2", "1"], ["3", "1"]]},
+            {"cells": halves, "values": [["9", "2"], ["5", "1"]]},
+        ],
+        "schema_version": 1,
+    }
     back = family_from_json_dict(doc)
     assert back.bound_C == Fraction(2)
-    assert back.partitions == fam.partitions
-    for a, b in zip(back.members, fam.members):
-        assert a.cells == b.cells
-        assert a.values == b.values
+    cells = (Cell((1,), (0,)), Cell((1,), (1,)))
+    assert back.partitions == (cells, cells)
+    for h, values in zip(back.members, [(2, 3), (Fraction(9, 2), 5)]):
+        assert h.cells == cells
+        assert h.values == values
 
 
 def test_family_json_diagnostics():
@@ -381,7 +348,13 @@ def test_family_json_diagnostics():
 
 
 def test_family_partition_must_tile_the_cube():
-    doc = family_to_json_dict(_const_family(_dyadic(2)))
+    doc = {
+        "bound_c": ["1", "1"],
+        "grid": {"dims": 1, "seqs": [[2, 2]], "depth": 2},
+        "members": [{"cells": [{"ranks": [0], "indices": [0]}], "values": [[str(2 ** m), "1"]]}
+                    for m in range(1, 5)],
+        "schema_version": 1,
+    }
     doc["members"][0]["partition"] = [{"ranks": [1], "indices": [0]}]
     with pytest.raises(ValueError, match=r"members\[0\]\.partition: partition measures sum to 1/2"):
         family_from_json_dict(doc)

@@ -1,8 +1,6 @@
 import random
 from fractions import Fraction
 from functools import reduce
-from itertools import product as iter_product
-from math import isclose, prod
 
 import pytest
 from hypothesis import given, settings
@@ -18,9 +16,7 @@ from padicah import (
     UnitValue,
     ValueGuardError,
     coeffs_from_json_dict,
-    coeffs_to_json_dict,
     decompose_box,
-    full_cube,
     gen_haar_eval,
     haar_coeffs_from_price,
     partial_sum,
@@ -185,7 +181,7 @@ def test_derivative_density_reproduces_values():
     coeffs = _random_coeffs(rng, cfg, "haar", 3)
     af = AdditiveFn.from_series(coeffs)
     deriv = af.derivative()
-    r = af.stabilization_rank
+    r = coeffs.stabilization_rank
     m = cfg.seqs[0].modulus(r)
     for i in range(m):
         cell = Cell((r,), (i,))
@@ -326,13 +322,14 @@ def test_partial_sums_agree_across_systems_property(coeffs):
 
 
 def test_coeff_json_round_trip():
-    cfg = GridConfig.from_lists([[2, 2], [3, 3]])
-    cm = CoeffMap(cfg, {(0, 0): 2, (3, 1): complex(0.5, -1.25)}, "haar")
-    doc = coeffs_to_json_dict(cm)
-    assert doc["mode"] == "haar"
-    assert doc["grid"]["seqs"] == [[2, 2], [3, 3]]
+    doc = {
+        "mode": "haar",
+        "grid": {"dims": 2, "seqs": [[2, 2], [3, 3]], "depth": 2},
+        "entries": [[[0, 0], 2, 0], [[3, 1], 0.5, -1.25]],
+    }
     back = coeffs_from_json_dict(doc)
-    assert back.mode == cm.mode
+    assert back.mode == "haar"
+    assert back.cfg == GridConfig.from_lists([[2, 2], [3, 3]])
     assert dict(back.items()) == {(0, 0): 2, (3, 1): complex(0.5, -1.25)}
 
 
@@ -350,66 +347,6 @@ def test_coeff_json_diagnostics_name_the_field():
         )
     with pytest.raises(ValueError, match="entries"):
         coeffs_from_json_dict({"mode": "haar", "grid": good_grid, "entries": {}})
-
-
-def test_from_table_density():
-    cfg = GridConfig.from_lists([[2, 2]])
-    af = AdditiveFn.from_table(cfg, 1, [3, Fraction(1, 2)])
-    assert af.value_on(Cell((1,), (0,))) == Fraction(3, 2)
-    assert af.value_on(Cell((1,), (1,))) == Fraction(1, 4)
-    assert af.value_on(full_cube(1)) == Fraction(7, 4)
-    # splitting below the table rank spreads the density uniformly
-    assert af.value_on(Cell((2,), (0,))) == Fraction(3, 4)
-
-
-def test_table_majorant_compares_exactly():
-    """Two densities equal as doubles: the exact ancestor average still wins."""
-    x = Fraction(1, 3)
-    y = x + Fraction(2, 10 ** 30)
-    assert float(x) == float((x + y) / 2)
-    af = AdditiveFn.from_table(GridConfig.from_lists([[2, 2]]), 1, [x, y])
-    assert af.majorant().values[0] == (x + y) / 2
-
-
-def _enumerated_table_majorant(af):
-    """The table majorant by its definition: the running maximum of
-    |density| and its integral averages on every uniform rank-k cell."""
-    density, cfg = af.derivative(), af.cfg
-    best = density.abs()
-    for k in range(max(density.max_ranks())):
-        cells = tuple(Cell((k,) * cfg.dim, combo)
-                      for combo in iter_product(*(range(seq.modulus(k)) for seq in cfg.seqs)))
-        averages = tuple(value_abs(density.integral(c) / c.measure(cfg)) for c in cells)
-        best = pointwise_max(best, StepFunction(cfg, cells, averages))
-    return best
-
-
-_TABLE_VALUES = {
-    "int": st.integers(-6, 6),
-    "fraction": st.fractions(-3, 3, max_denominator=7),
-    "float": st.floats(-4, 4, allow_nan=False),
-    "complex": st.builds(complex, st.floats(-4, 4), st.floats(-4, 4)),
-}
-
-
-@settings(max_examples=60)
-@given(st.data())
-def test_table_majorant_matches_the_enumeration(data):
-    """Exact tables: the same cells, values and value types.  Float and
-    complex tables: the same cells, and values within rounding."""
-    cfg = data.draw(grids(max_cells=256))
-    rank = data.draw(st.integers(0, cfg.min_depth))
-    kind = data.draw(st.sampled_from(sorted(_TABLE_VALUES)))
-    size = prod(seq.modulus(rank) for seq in cfg.seqs)
-    values = data.draw(st.lists(_TABLE_VALUES[kind], min_size=size, max_size=size))
-    got = AdditiveFn.from_table(cfg, rank, values).majorant()
-    want = _enumerated_table_majorant(AdditiveFn.from_table(cfg, rank, values))
-    if kind in ("int", "fraction"):
-        assert repr(got) == repr(want)
-    else:
-        assert got.cells == want.cells
-        for x, y in zip(got.values, want.values):
-            assert type(x) is type(y) and isclose(x, y, rel_tol=1e-12, abs_tol=1e-12)
 
 
 def test_unit_value_coefficients_supported():
